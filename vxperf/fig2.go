@@ -58,6 +58,7 @@ func runFig2(o options) (*result, error) {
 		gd             *graphData
 		setup, gen, ld []float64
 	)
+	harness := harnessHeapMB(o)
 	for i := 0; i < setupReps; i++ {
 		g, gd = nil, nil
 		runtime.GC()
@@ -72,7 +73,7 @@ func runFig2(o options) (*result, error) {
 		ld = append(ld, loadD.Seconds())
 	}
 	r.Metrics["setup_s"] = median(setup)
-	r.Metrics["live_heap_mb"] = liveHeapMB()
+	r.Metrics["live_heap_mb"] = liveHeapMB() - harness
 	if o.Trace {
 		r.Metrics["dataset.generate_s"] = median(gen)
 		r.Metrics["storage.load_s"] = median(ld)
@@ -105,21 +106,35 @@ func runFig2(o options) (*result, error) {
 // secondsPerRotation sets how many rotations of the four algorithms a
 // run makes from --seconds alone: the engine's times drift upward over
 // repeated runs on one graph, so a count that depended on speed would
-// move the medians.
+// move the medians. A rotation takes about 5 s on a 2-CPU box, so the
+// measured phase runs past --seconds (about 31 s at 25 s).
 const secondsPerRotation = 4
 
+// fig2Rotations is the fixed rotation count. A traced run rounds it up
+// to a multiple of four for the traced order.
 func fig2Rotations(o options) int {
 	n := int(o.Window / (secondsPerRotation * time.Second))
 	if n < 2 {
-		n = 2 // a traced run needs one traced and one untraced rotation
+		n = 2
+	}
+	if o.Trace {
+		n = (n + 3) / 4 * 4
 	}
 	return n
 }
 
+// tracedRotation orders a traced run's rotations untraced, traced,
+// traced, untraced, and so on. Within each adjacent pair (2k, 2k+1) the
+// traced rotation comes second in even pairs and first in odd ones, so
+// a steady drift cancels out of the mean of the pairs' time ratios.
+func tracedRotation(o options, rot int) bool {
+	return o.Trace && (rot%4 == 1 || rot%4 == 2)
+}
+
 // measureFig2 warms up, then runs the four algorithms in turn for a
-// fixed number of rotations. In a traced run, odd rotations are traced
-// (MemStats around each call, RunStats kept) and even ones are not, so
-// the two medians give the tracing overhead.
+// fixed number of rotations. In a traced run, half the rotations are
+// traced (MemStats around each call, RunStats kept) and half are not,
+// so their pagerank_s times give the tracing overhead.
 func measureFig2(r *result, o options, algos []fig2Algo) error {
 	ctx := context.Background()
 	for _, a := range algos {
@@ -135,7 +150,7 @@ func measureFig2(r *result, o options, algos []fig2Algo) error {
 	stats := map[string]*core.RunStats{}
 	var gcPerRot []float64
 	for rot := 0; rot < fig2Rotations(o); rot++ {
-		traced := o.Trace && rot%2 == 1
+		traced := tracedRotation(o, rot)
 		gcs := 0.0
 		for _, a := range algos {
 			runtime.GC()
@@ -175,8 +190,7 @@ func measureFig2(r *result, o options, algos []fig2Algo) error {
 		}
 		return nil
 	}
-	r.Metrics["bench.trace_overhead_pct"] =
-		(median(times[true]["pagerank_s"])/median(times[false]["pagerank_s"]) - 1) * 100
+	r.Metrics["bench.trace_overhead_pct"] = pairedOverheadPct(times[false]["pagerank_s"], times[true]["pagerank_s"])
 	r.Metrics["runtime.gc_cycles"] = median(gcPerRot)
 	medMem := func(metric string, f func(memDelta) float64) float64 {
 		var xs []float64
@@ -192,6 +206,17 @@ func measureFig2(r *result, o options, algos []fig2Algo) error {
 	r.Metrics["sqlgraph.sssp_mallocs"] = medMem("sssp_sql_s", mallocs)
 	coreStats(r, stats["pagerank_s"], stats["sssp_s"])
 	return nil
+}
+
+// pairedOverheadPct is the mean over adjacent rotation pairs of traced
+// time over untraced time, as a percentage above 1; untraced[k] and
+// traced[k] come from pair k.
+func pairedOverheadPct(untraced, traced []float64) float64 {
+	var sum float64
+	for k := range traced {
+		sum += traced[k] / untraced[k]
+	}
+	return (sum/float64(len(traced)) - 1) * 100
 }
 
 // coreStats reads the vertex runtime's own counters: PageRank keeps

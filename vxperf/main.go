@@ -79,13 +79,21 @@ type jsonResult struct {
 
 // output selects the metrics the run reports: the workload's
 // end-to-end metrics untraced, every per-layer metric traced (0 where
-// the workload does not exercise the layer). A reported metric that
-// was not measured, or is not a number, fails the run.
+// the workload does not exercise the layer). A metric the workload
+// must measure that was not measured, or a metric that is not a
+// number, fails the run.
 func (r *result) output(trace bool) jsonResult {
 	out := jsonResult{Attempted: r.Attempted, Failed: r.Failed, Metrics: map[string]jsonMetric{}}
 	if trace {
+		measured := map[string]bool{}
+		for _, name := range measuredOn(r.Workload) {
+			measured[name] = true
+		}
 		for _, m := range perLayer {
-			v := r.Metrics[m.Name]
+			v, ok := r.Metrics[m.Name]
+			if !ok && measured[m.Name] {
+				r.check(fmt.Errorf("metric %s was not measured", m.Name))
+			}
 			out.Metrics[m.Name] = jsonMetric{Value: v, Unit: m.Unit}
 		}
 	} else {

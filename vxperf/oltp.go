@@ -29,7 +29,7 @@ const (
 	insertsPerSecond = 2000
 	warmInserts      = 200
 	warmReads        = 40 // per client: 30 lookups, 10 joins
-	recoverReps      = 3
+	recoverReps      = 5
 	// traceBlock alternates traced and untraced stretches of a traced
 	// run, so drift lands on both sides of bench.trace_overhead_pct.
 	traceBlock        = 500 * time.Millisecond
@@ -153,6 +153,7 @@ func runOLTP(o options, write bool) (*result, error) {
 		env                  *oltpEnv
 		setup, gen, ld, ckpt []float64
 	)
+	harness := harnessHeapMB(o)
 	for i := 0; i < setupReps; i++ {
 		if env != nil {
 			env.close()
@@ -172,7 +173,7 @@ func runOLTP(o options, write bool) (*result, error) {
 	}
 	defer env.close()
 	r.Metrics["setup_s"] = median(setup)
-	r.Metrics["live_heap_mb"] = liveHeapMB()
+	r.Metrics["live_heap_mb"] = liveHeapMB() - harness
 	if o.Trace {
 		r.Metrics["dataset.generate_s"] = median(gen)
 		r.Metrics["storage.load_s"] = median(ld)

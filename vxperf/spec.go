@@ -1,5 +1,7 @@
 package main
 
+import "strings"
+
 // The benchmark's definition: its workloads and metrics. BENCHMARK.json
 // at the repository root and vxperf/spec.json are both generated from
 // these tables (vxperf -write-spec), so the code that measures a metric
@@ -26,16 +28,19 @@ type workload struct {
 	Clients int    `json:"clients"`
 	Sizes   string `json:"sizes"`
 	Layers  string `json:"layers"`
+	// Wall is how long one run takes, set-up and checks included.
+	Wall string `json:"wall_clock"`
 }
 
 var workloads = []workload{
 	{
 		Name:    wFig2,
 		Why:     "Figure 2: vertex-centric and SQL PageRank (10 iterations) and SSSP in-process; stresses core, sqlgraph, exec, storage and the allocator",
-		Loop:    "closed, one goroutine; the four algorithms run in turn until the window ends",
+		Loop:    "closed, one goroutine; a fixed count of rotations of the four algorithms, --seconds/4 (6 at 25 s), rounded up to a multiple of 4 when traced",
 		Clients: 0,
 		Sizes:   "8130 nodes, ~81k edges (PreferentialAttachment k=10)",
 		Layers:  "core, sqlgraph, exec, storage, Go allocator; bypasses client, wire, server, plan cache and WAL",
+		Wall:    "about 40 s untraced (6 rotations of about 5 s plus set-up and warm-up), 57 s traced (8 rotations), at --seconds 25 on 2 CPUs",
 	},
 	{
 		Name:    wOLTPRead,
@@ -44,6 +49,7 @@ var workloads = []workload{
 		Clients: 2,
 		Sizes:   "edges 8-shard table of ~81k rows, nodes table of 8130 rows",
 		Layers:  "client, wire, server, engine session and plan cache, exec scan and join; core idle",
+		Wall:    "about 29 s untraced, 33 s traced (in-process replay and EXPLAIN ANALYZE after the window), at --seconds 25 on 2 CPUs",
 	},
 	{
 		Name:    wOLTPWrite,
@@ -52,6 +58,7 @@ var workloads = []workload{
 		Clients: 2,
 		Sizes:   "same tables as oltp-read in a persistent engine checkpointed at set-up",
 		Layers:  "engine WAL group commit, mvcc and storage appends beside read snapshots, persist replay",
+		Wall:    "about 23 s untraced, 26 to 32 s traced, at --seconds 25 on 2 CPUs: the fixed 50000 inserts end the window, then 5 timed reopens",
 	},
 }
 
@@ -84,7 +91,7 @@ var endToEnd = []metric{
 	{Name: "setup_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: all3,
 		Note: "median of setupReps set-ups in one run: generate, load (and checkpoint on oltp-write)"},
 	{Name: "live_heap_mb", Unit: "MB", Better: "lower", Bound: 0.05, Workloads: all3,
-		Note: "HeapAlloc after runtime.GC() at the end of set-up"},
+		Note: "the heap the engine keeps after set-up: HeapAlloc after runtime.GC() with the engine and the benchmark's copy of the graph held, minus HeapAlloc after runtime.GC() with that copy alone"},
 	{Name: "pagerank_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: []string{wFig2}},
 	{Name: "pagerank_sql_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: []string{wFig2}},
 	{Name: "sssp_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: []string{wFig2}},
@@ -95,7 +102,8 @@ var endToEnd = []metric{
 	{Name: "hop1_p90_ms", Unit: "ms", Better: "lower", Bound: 0.25, Workloads: []string{wOLTPRead}},
 	{Name: "read_qps", Unit: "1/s", Better: "higher", Bound: 0.25, Workloads: []string{wOLTPRead}},
 	{Name: "insert_p50_ms", Unit: "ms", Better: "lower", Bound: 0.25, Workloads: []string{wOLTPWrite}},
-	{Name: "recover_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: []string{wOLTPWrite}},
+	{Name: "recover_s", Unit: "s", Better: "lower", Bound: 0.25, Workloads: []string{wOLTPWrite},
+		Note: "median of recoverReps reopens after the insert window, each replaying the same WAL"},
 }
 
 // perLayer metrics are reported by every workload's traced run; a
@@ -168,7 +176,7 @@ var perLayer = []metric{
 
 	// The benchmark itself.
 	{Name: "bench.trace_overhead_pct", Unit: "%", Better: "lower", Moves: "none: the cost of the traced run's own timing", On: "fig2, oltp-read, oltp-write",
-		Note: "traced median over untraced median, alternating blocks in one run: pagerank_s on fig2, lookup p50 on oltp-read, insert p50 on oltp-write"},
+		Note: "traced over untraced time, from alternating blocks in one run: on fig2 the mean over adjacent rotation pairs of the pagerank_s ratio, rotations ordered untraced, traced, traced, untraced so drift cancels; on oltp-read the lookup p50s of 500 ms blocks; on oltp-write the insert p50s of 500-insert blocks"},
 }
 
 // droppedMetric is an end-to-end metric the issue asked for that the
@@ -191,6 +199,20 @@ func reportedBy(w string) []metric {
 		for _, mw := range m.Workloads {
 			if mw == w {
 				out = append(out, m)
+			}
+		}
+	}
+	return out
+}
+
+// measuredOn lists the per-layer metrics a workload's traced run must
+// measure: those whose On field names the workload.
+func measuredOn(w string) []string {
+	var out []string
+	for _, m := range perLayer {
+		for _, on := range strings.Split(m.On, ",") {
+			if strings.TrimSpace(on) == w {
+				out = append(out, m.Name)
 			}
 		}
 	}

@@ -62,6 +62,17 @@ func liveHeapMB() float64 {
 	return float64(m.HeapAlloc) / (1 << 20)
 }
 
+// harnessHeapMB is the live heap with only the benchmark's own copy of
+// the seed's graph held: the edge list and the adjacency the output
+// checks read. live_heap_mb subtracts it from the heap after set-up,
+// so the figure is the heap the engine keeps, not the benchmark's.
+func harnessHeapMB(o options) float64 {
+	gd := generate(o.Seed, o.Nodes)
+	h := liveHeapMB()
+	runtime.KeepAlive(gd)
+	return h
+}
+
 // subWindow is the stretch of a run over which a tail or a rate is
 // taken; the run reports the median across its full sub-windows.
 const subWindow = 3 * time.Second

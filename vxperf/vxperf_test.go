@@ -18,20 +18,6 @@ func testOptions(t *testing.T) options {
 	return options{Seed: 3, Window: time.Second, Trace: true, TmpDir: t.TempDir(), Nodes: 400}
 }
 
-// measuredOn lists the per-layer metrics a workload's traced run must
-// measure.
-func measuredOn(w string) []string {
-	var out []string
-	for _, m := range perLayer {
-		for _, on := range strings.Split(m.On, ",") {
-			if strings.TrimSpace(on) == w {
-				out = append(out, m.Name)
-			}
-		}
-	}
-	return out
-}
-
 // TestExactCountsRepeat runs each traced workload twice on one seed:
 // the counts documented as exact must repeat, and every per-layer
 // metric meant for the workload must be measured.
@@ -181,6 +167,39 @@ func TestOutputRejectsUnmeasuredOrNaN(t *testing.T) {
 	r.Attempted = 1
 	if out := r.output(false); out.Correct {
 		t.Error("missing metrics accepted")
+	}
+
+	// Traced: a layer the workload does not exercise reads 0, one it
+	// must measure fails the run when missing.
+	r = newResult(wFig2)
+	r.Attempted = 1
+	for _, name := range measuredOn(wFig2) {
+		r.Metrics[name] = 1
+	}
+	if out := r.output(true); !out.Correct || out.Metrics["client.lookup_ms"].Value != 0 {
+		t.Fatalf("complete traced result rejected: %v", r.Errors)
+	}
+	delete(r.Metrics, "core.cache_hit_ratio")
+	if out := r.output(true); out.Correct {
+		t.Error("unmeasured core.cache_hit_ratio accepted on fig2")
+	}
+}
+
+// TestPairedOverheadCancelsDrift: times that rise steadily with no
+// tracing cost give an overhead near 0 in the traced rotation order.
+func TestPairedOverheadCancelsDrift(t *testing.T) {
+	o := options{Window: 32 * time.Second, Trace: true}
+	var untraced, traced []float64
+	for rot := 0; rot < fig2Rotations(o); rot++ {
+		d := 1 + 0.02*float64(rot)
+		if tracedRotation(o, rot) {
+			traced = append(traced, d)
+		} else {
+			untraced = append(untraced, d)
+		}
+	}
+	if got := pairedOverheadPct(untraced, traced); math.Abs(got) > 0.1 {
+		t.Errorf("overhead %.3f%% from drift alone", got)
 	}
 }
 

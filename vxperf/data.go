@@ -31,6 +31,17 @@ func generate(seed, nodes int64) *graphData {
 	return &graphData{ds: ds, out: out}
 }
 
+// hubs returns the n nodes of highest out-degree, ties broken by the
+// lower id; the first is dataset.Graph.MaxOutDegreeNode.
+func (g *graphData) hubs(n int) []int64 {
+	ids := make([]int64, len(g.out))
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	sort.SliceStable(ids, func(i, j int) bool { return len(g.out[ids[i]]) > len(g.out[ids[j]]) })
+	return ids[:n]
+}
+
 func (g *graphData) coreEdges() []core.Edge {
 	edges := make([]core.Edge, len(g.ds.Edges))
 	for i, e := range g.ds.Edges {

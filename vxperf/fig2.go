@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"runtime"
 	"time"
 
@@ -23,13 +24,24 @@ const (
 	prDamping    = 0.85
 )
 
-// fig2Algo is one of the four Figure 2 runs with its reference answer.
+// fig2Algo is one of the four Figure 2 runs with its reference
+// answers. Rotation rot runs it on input rot % len(want) and checks the
+// result against want[rot % len(want)].
 type fig2Algo struct {
 	metric string
-	run    func(ctx context.Context) (map[int64]float64, *core.RunStats, error)
-	want   map[int64]float64
+	run    func(ctx context.Context, rot int) (map[int64]float64, *core.RunStats, error)
+	want   []map[int64]float64
 	tol    float64
 }
+
+func (a fig2Algo) wantAt(rot int) map[int64]float64 { return a.want[rot%len(a.want)] }
+
+// ssspSources is how many sources the SSSP runs cycle through: the
+// highest-out-degree vertices. One source's depth varies with the seed
+// (13 to 17 supersteps over seeds 1 to 12), and SQL SSSP time with it;
+// across four hubs of one graph the depths even out (56 to 63 supersteps
+// in total over seeds 1 to 8).
+const ssspSources = 4
 
 // setupFig2 generates the graph and bulk-loads it into a fresh
 // in-memory engine.
@@ -80,23 +92,27 @@ func runFig2(o options) (*result, error) {
 	}
 
 	ref := &testutil.RefGraph{Nodes: gd.ds.Nodes, Edges: gd.coreEdges()}
-	src := gd.ds.MaxOutDegreeNode()
-	wantPR := testutil.RefPageRank(ref, prIterations, prDamping)
-	wantSP := testutil.RefShortestPaths(ref, src, false)
+	wantPR := []map[int64]float64{testutil.RefPageRank(ref, prIterations, prDamping)}
+	srcs := gd.hubs(ssspSources)
+	var wantSP []map[int64]float64
+	for _, src := range srcs {
+		wantSP = append(wantSP, testutil.RefShortestPaths(ref, src, false))
+	}
+	source := func(rot int) int64 { return srcs[rot%len(srcs)] }
 	algos := []fig2Algo{
-		{"pagerank_s", func(ctx context.Context) (map[int64]float64, *core.RunStats, error) {
+		{"pagerank_s", func(ctx context.Context, _ int) (map[int64]float64, *core.RunStats, error) {
 			return algorithms.RunPageRank(ctx, g, prIterations, core.Options{})
 		}, wantPR, 1e-9},
-		{"pagerank_sql_s", func(ctx context.Context) (map[int64]float64, *core.RunStats, error) {
+		{"pagerank_sql_s", func(ctx context.Context, _ int) (map[int64]float64, *core.RunStats, error) {
 			m, err := sqlgraph.PageRank(ctx, g, prIterations, prDamping)
 			return m, nil, err
 		}, wantPR, 1e-9},
-		{"sssp_s", func(ctx context.Context) (map[int64]float64, *core.RunStats, error) {
-			m, st, err := algorithms.RunSSSP(ctx, g, src, false, core.Options{})
+		{"sssp_s", func(ctx context.Context, rot int) (map[int64]float64, *core.RunStats, error) {
+			m, st, err := algorithms.RunSSSP(ctx, g, source(rot), false, core.Options{})
 			return testutil.DropInf(m), st, err
 		}, wantSP, 1e-12},
-		{"sssp_sql_s", func(ctx context.Context) (map[int64]float64, *core.RunStats, error) {
-			m, err := sqlgraph.ShortestPaths(ctx, g, src, false)
+		{"sssp_sql_s", func(ctx context.Context, rot int) (map[int64]float64, *core.RunStats, error) {
+			m, err := sqlgraph.ShortestPaths(ctx, g, source(rot), false)
 			return m, nil, err
 		}, wantSP, 1e-12},
 	}
@@ -104,21 +120,18 @@ func runFig2(o options) (*result, error) {
 }
 
 // secondsPerRotation sets how many rotations of the four algorithms a
-// run makes from --seconds alone: the engine's times drift upward over
-// repeated runs on one graph, so a count that depended on speed would
-// move the medians. A rotation takes about 5 s on a 2-CPU box, so the
-// measured phase runs past --seconds (about 31 s at 25 s).
-const secondsPerRotation = 4
+// run makes from --seconds alone, so both sides of a comparison run the
+// same work whatever their speed. A rotation takes about 6 s on a 2-CPU
+// box. The count is a multiple of ssspSources, so every SSSP source
+// runs equally often (and of four, for the traced order).
+const secondsPerRotation = 6
 
-// fig2Rotations is the fixed rotation count. A traced run rounds it up
-// to a multiple of four for the traced order.
+// fig2Rotations is the fixed rotation count: --seconds/6 rounded to a
+// multiple of four, at least four (4 at 25 s).
 func fig2Rotations(o options) int {
-	n := int(o.Window / (secondsPerRotation * time.Second))
-	if n < 2 {
-		n = 2
-	}
-	if o.Trace {
-		n = (n + 3) / 4 * 4
+	n := int((o.Window + 2*secondsPerRotation*time.Second) / (4 * secondsPerRotation * time.Second) * 4)
+	if n < 4 {
+		n = 4
 	}
 	return n
 }
@@ -138,11 +151,11 @@ func tracedRotation(o options, rot int) bool {
 func measureFig2(r *result, o options, algos []fig2Algo) error {
 	ctx := context.Background()
 	for _, a := range algos {
-		got, _, err := a.run(ctx)
+		got, _, err := a.run(ctx, 0)
 		if err != nil {
 			return fmt.Errorf("warm-up %s: %w", a.metric, err)
 		}
-		r.check(testutil.DiffFloatMaps(a.metric, got, a.want, a.tol))
+		r.check(testutil.DiffFloatMaps(a.metric, got, a.wantAt(0), a.tol))
 	}
 
 	times := map[bool]map[string][]float64{false: {}, true: {}}
@@ -159,7 +172,7 @@ func measureFig2(r *result, o options, algos []fig2Algo) error {
 				before = readMem()
 			}
 			t0 := time.Now()
-			got, st, err := a.run(ctx)
+			got, st, err := a.run(ctx, rot)
 			d := time.Since(t0).Seconds()
 			if traced {
 				md := diffMem(before, readMem())
@@ -175,13 +188,21 @@ func measureFig2(r *result, o options, algos []fig2Algo) error {
 				r.Failed++
 				d = math.Inf(1)
 			} else {
-				r.check(testutil.DiffFloatMaps(a.metric, got, a.want, a.tol))
+				r.check(testutil.DiffFloatMaps(a.metric, got, a.wantAt(rot), a.tol))
 			}
 			times[traced][a.metric] = append(times[traced][a.metric], d)
 		}
 		if traced {
 			gcPerRot = append(gcPerRot, gcs)
 		}
+		// Each rotation's times go to stderr, so a run's spread can
+		// be read next to its medians.
+		fmt.Fprintf(os.Stderr, "vxperf: fig2 rotation %d traced=%t:", rot, traced)
+		for _, a := range algos {
+			ts := times[traced][a.metric]
+			fmt.Fprintf(os.Stderr, " %s=%.3f", a.metric, ts[len(ts)-1])
+		}
+		fmt.Fprintln(os.Stderr)
 	}
 
 	if !o.Trace {

@@ -242,8 +242,8 @@ func runOLTP(o options, write bool) (*result, error) {
 		all.resultBytes = append(all.resultBytes, s.resultBytes...)
 	}
 	if !o.Trace {
-		// An untraced run has no traced blocks. Tails and rates are
-		// medians over sub-windows, so a burst of outside load in part
+		// An untraced run has no traced blocks. Tails are medians
+		// over sub-windows, so a burst of outside load in part
 		// of the window moves them less.
 		for _, op := range []string{"lookup", "hop1", "insert"} {
 			if sr := all.lat[false][op]; sr != nil {
@@ -275,12 +275,6 @@ func runOLTP(o options, write bool) (*result, error) {
 		r.Metrics["bench.trace_overhead_pct"] = (median(all.lat[true][op].ms)/median(all.lat[false][op].ms) - 1) * 100
 	}
 	if !write {
-		if !o.Trace {
-			reads := &series{}
-			reads.merge(all.lat[false]["lookup"])
-			reads.merge(all.lat[false]["hop1"])
-			r.Metrics["read_qps"] = reads.rate(window)
-		}
 		return r, nil
 	}
 	return r, env.recover(r, baseRows, setupBytes)

@@ -73,8 +73,7 @@ func harnessHeapMB(o options) float64 {
 	return h
 }
 
-// subWindow is the stretch of a run over which a tail or a rate is
-// taken; the run reports the median across its full sub-windows.
+// subWindow is the stretch of a run over which a tail is taken; the run reports the median across its full sub-windows.
 const subWindow = 3 * time.Second
 
 // series is one request kind's latencies, each with the time its reply
@@ -121,29 +120,4 @@ func (s *series) tail(q float64, window time.Duration) float64 {
 		return quantile(s.ms, q)
 	}
 	return median(tails)
-}
-
-// rate is the median across full sub-windows of successful replies per
-// second; with fewer than two sub-windows it is the rate over the window.
-func (s *series) rate(window time.Duration) float64 {
-	var rates []float64
-	for _, xs := range s.bySubWindow(window) {
-		ok := 0
-		for _, x := range xs {
-			if !math.IsInf(x, 1) {
-				ok++
-			}
-		}
-		rates = append(rates, float64(ok)/subWindow.Seconds())
-	}
-	if len(rates) < 2 {
-		ok := 0
-		for _, x := range s.ms {
-			if !math.IsInf(x, 1) {
-				ok++
-			}
-		}
-		return float64(ok) / window.Seconds()
-	}
-	return median(rates)
 }

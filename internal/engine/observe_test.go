@@ -82,11 +82,11 @@ func TestExplainGolden(t *testing.T) {
 			"  Sort (label) [workers=2]",
 			"    Gather (fragments=2)",
 			"      Project (label)",
-			"        Filter ((e.src = 1))",
-			"          Spool (parts=2)",
-			"            HashJoin inner (dst = id) [workers=2]",
-			"              Scan nv",
-			"              Scan ev [4 shards]",
+			"        Spool (parts=2)",
+			"          HashJoin inner (dst = id) [workers=2]",
+			"            Scan nv",
+			"            Filter ((e.src = 1))",
+			"              Scan ev [shard 1/4]",
 		}},
 		{"EXPLAIN INSERT INTO nv VALUES (4, 'd')", []string{
 			"write insert: sharded fast path (shared gate + per-shard statement locks)",

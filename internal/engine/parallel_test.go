@@ -116,6 +116,16 @@ var featureCorpus = []string{
 	`SELECT r.id, COUNT(e.src) FROM ranks r LEFT JOIN edges e ON r.id = e.src GROUP BY r.id`,
 	`SELECT COUNT(*) FROM edges a JOIN edges b ON a.dst = b.src AND a.src < b.dst`,
 	`SELECT COUNT(*) FROM edges a JOIN edges b ON a.src = b.src AND a.dst = b.dst`,
+	// Predicate pushdown through joins, one shape per rule.
+	`SELECT e.src, e.dst, r.rank FROM edges e JOIN ranks r ON e.dst = r.id WHERE e.w > 1.0 AND r.rank < 0.5`,
+	`SELECT e.dst, r.rank FROM edges e, ranks r WHERE e.src = r.id AND e.src < 50 AND r.rank > 0.2`,
+	`SELECT r.id FROM ranks r LEFT JOIN edges e ON r.id = e.src WHERE e.src IS NULL`,
+	`SELECT r.id, e.dst FROM ranks r LEFT JOIN edges e ON r.id = e.src WHERE r.rank > 0.5`,
+	`SELECT r.id, e.dst FROM ranks r LEFT JOIN edges e ON r.id = e.src AND e.w > 1.2`,
+	`SELECT r.id, e.dst FROM ranks r LEFT JOIN edges e ON r.id = e.src AND r.rank > 0.5`,
+	`SELECT p.id, b.id FROM people p CROSS JOIN big b WHERE p.age = 25 AND b.grp = 3`,
+	`SELECT e.src, f.dst, r.rank FROM edges e JOIN edges f ON e.dst = f.src JOIN ranks r ON f.dst = r.id WHERE e.src < 40 AND r.rank > 0.3`,
+	`SELECT d.grp, d.c, p.name FROM (SELECT grp, COUNT(*) AS c FROM big GROUP BY grp) AS d JOIN people p ON d.grp = p.id WHERE d.c > 10 AND p.vip`,
 	// The PageRank iteration shape: left join against a grouped subquery.
 	`SELECT v.id, 0.15 / 600 + 0.85 * COALESCE(s.acc, 0.0) AS nr
 		FROM ranks v LEFT JOIN (

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -533,5 +534,123 @@ func TestShardPrunedParallelUpdates(t *testing.T) {
 		if v.I != iters {
 			t.Errorf("key %d: v = %d, want %d (lost updates)", key, v.I, iters)
 		}
+	}
+}
+
+// hop1JoinDB builds a sharded 1-hop join fixture: 8-shard edges with
+// five out-edges per source over 120 labeled nodes.
+func hop1JoinDB(t *testing.T) *DB {
+	t.Helper()
+	db := New()
+	mustExec(t, db,
+		"CREATE TABLE edges (src INTEGER NOT NULL, dst INTEGER NOT NULL) PARTITION BY HASH(src) SHARDS 8",
+		"CREATE TABLE nodes (id INTEGER NOT NULL, label VARCHAR)",
+	)
+	var ins strings.Builder
+	ins.WriteString("INSERT INTO edges VALUES ")
+	for src := 0; src < 200; src++ {
+		for j := 0; j < 5; j++ {
+			if src+j > 0 {
+				ins.WriteString(", ")
+			}
+			fmt.Fprintf(&ins, "(%d, %d)", src, (src*7+j)%120)
+		}
+	}
+	mustExec(t, db, ins.String())
+	ins.Reset()
+	ins.WriteString("INSERT INTO nodes VALUES ")
+	for id := 0; id < 120; id++ {
+		if id > 0 {
+			ins.WriteString(", ")
+		}
+		fmt.Fprintf(&ins, "(%d, 'n%d')", id, id)
+	}
+	mustExec(t, db, ins.String())
+	return db
+}
+
+// preparedHop1AllocCeiling is the committed allocation ceiling for one
+// execution of the prepared 1-hop join below at parallelism 1 (278
+// measured with Go 1.24). It may only be lowered.
+const preparedHop1AllocCeiling = 280
+
+// TestPreparedHop1JoinReadsOneShard guards the prepared 1-hop join: the
+// WHERE key on the probe side is pushed through the JOIN onto the
+// edges scan and routed to one shard at bind time, so an execution
+// reads that shard plus the build table — not every edge — and its
+// allocations stay under a committed ceiling.
+func TestPreparedHop1JoinReadsOneShard(t *testing.T) {
+	db := hop1JoinDB(t)
+	sess := db.NewSession()
+	defer sess.Close()
+	ctx := context.Background()
+	if _, _, err := sess.RunStream(ctx, "SET parallelism = 1"); err != nil {
+		t.Fatal(err)
+	}
+	const (
+		q   = "SELECT n.label FROM edges e JOIN nodes n ON n.id = e.dst WHERE e.src = $1"
+		key = 17
+	)
+	edges, err := db.Catalog().Get("edges")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shardRows := int64(edges.ShardRows(int(storage.HashValue(storage.Int64(key)) % uint64(edges.NumShards()))))
+	if shardRows*2 > int64(edges.NumRows()) {
+		t.Fatalf("fixture: shard holds %d of %d edges; the bound below would not show pruning", shardRows, edges.NumRows())
+	}
+	const nodeRows = 120
+	bound := shardRows + nodeRows
+
+	// The literal form through the session's EXPLAIN ANALYZE.
+	counts, executed := explainRowCounts(t, explainLines(t, sess,
+		fmt.Sprintf("EXPLAIN ANALYZE SELECT n.label FROM edges e JOIN nodes n ON n.id = e.dst WHERE e.src = %d", key)))
+	if executed != 5 {
+		t.Errorf("literal join returned %d rows, want 5", executed)
+	}
+	if counts["Scan"] > bound {
+		t.Errorf("literal join scanned %d rows, want at most %d (one shard + nodes)", counts["Scan"], bound)
+	}
+
+	// The prepared form: one execution, then the cached plan's counters.
+	args := []storage.Value{storage.Int64(key)}
+	rows, _, err := sess.RunStreamBound(ctx, q, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node ids (key*7 + j) % 120 for j < 5: labels n119, n0, n1, n2, n3.
+	if got := strings.Join(rowLines(t, rows), ","); got != "n119,n0,n1,n2,n3" {
+		t.Errorf("prepared join rows = %s, want n119,n0,n1,n2,n3", got)
+	}
+	db.plans.mu.Lock()
+	el := db.plans.items[cacheKey(q, args)]
+	db.plans.mu.Unlock()
+	if el == nil || el.Value.(*cacheEntry).prep == nil {
+		t.Fatal("prepared join was not cached")
+	}
+	counts, _ = explainRowCounts(t, exec.Explain(el.Value.(*cacheEntry).prep.Root, true))
+	if counts["Scan"] > bound {
+		t.Errorf("prepared join scanned %d rows, want at most %d (one shard + nodes)", counts["Scan"], bound)
+	}
+
+	allocs := testing.AllocsPerRun(50, func() {
+		rows, _, err := sess.RunStreamBound(ctx, q, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := rows.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+		}
+		rows.Close()
+	})
+	t.Logf("prepared 1-hop join: %.0f allocs/run", allocs)
+	if allocs > preparedHop1AllocCeiling && !raceEnabled {
+		t.Errorf("prepared 1-hop join: %.0f allocs/run, ceiling %d", allocs, preparedHop1AllocCeiling)
 	}
 }

@@ -388,7 +388,8 @@ func identIn(e sql.Expr, sc *Scope) (int, bool) {
 	return i, true
 }
 
-// planTableRef lowers one FROM item to (operator, scope).
+// planTableRef lowers one FROM leaf (base table, CTE or derived table)
+// to (operator, scope); fromTree assembles joins around the leaves.
 func (c *planCtx) planTableRef(ref sql.TableRef) (exec.Operator, *Scope, error) {
 	switch t := ref.(type) {
 	case *sql.BaseTable:
@@ -417,138 +418,223 @@ func (c *planCtx) planTableRef(ref sql.TableRef) (exec.Operator, *Scope, error) 
 			return nil, nil, err
 		}
 		return op, NewScope(t.Alias, op.Schema()), nil
-	case *sql.JoinTable:
-		return c.planJoin(t)
 	default:
 		return nil, nil, fmt.Errorf("plan: unsupported table reference %T", ref)
 	}
 }
 
-func (c *planCtx) planJoin(j *sql.JoinTable) (exec.Operator, *Scope, error) {
-	lop, ls, err := c.planTableRef(j.Left)
+// fromNode is one FROM input during join assembly: a planned leaf
+// (base table, CTE or derived table) or a join of two inputs. The
+// whole tree's scopes are known before any operator above a leaf is
+// built, so every conjunct can be routed to the deepest input it binds
+// in before that input's operators exist.
+type fromNode struct {
+	sc *Scope
+	// Leaf: the planned input.
+	op exec.Operator
+	// Join: a comma-list item joins as JoinCross with no ON.
+	kind        sql.JoinKind
+	left, right *fromNode
+	on          []sql.Expr
+}
+
+// fromTree plans the leaves of one FROM item and returns its join tree.
+func (c *planCtx) fromTree(ref sql.TableRef) (*fromNode, error) {
+	j, ok := ref.(*sql.JoinTable)
+	if !ok {
+		op, sc, err := c.planTableRef(ref)
+		if err != nil {
+			return nil, err
+		}
+		return &fromNode{sc: sc, op: op}, nil
+	}
+	l, err := c.fromTree(j.Left)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	rop, rs, err := c.planTableRef(j.Right)
+	r, err := c.fromTree(j.Right)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	combined := Concat(ls, rs)
-	if j.Kind == sql.JoinCross {
-		return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: exec.CrossJoin, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, combined, nil
+	n := joinNode(j.Kind, l, r)
+	if j.On != nil {
+		n.on = splitConjuncts(j.On, nil)
 	}
-	jt := exec.InnerJoin
-	if j.Kind == sql.JoinLeft {
-		jt = exec.LeftJoin
+	return n, nil
+}
+
+func joinNode(kind sql.JoinKind, l, r *fromNode) *fromNode {
+	return &fromNode{sc: Concat(l.sc, r.sc), kind: kind, left: l, right: r}
+}
+
+// side says where a conjunct binds relative to a join's two inputs.
+type side uint8
+
+const (
+	sideLeft  side = iota // binds on the left input only
+	sideRight             // binds on the right input only
+	sideBoth              // needs both inputs, or binds on either (a constant)
+)
+
+// sideOf classifies a conjunct against join node n. A conjunct belongs
+// to one input only when it binds in that input's scope and in no
+// other; a constant binds on both and stays at the join. A conjunct
+// must bind on the join's own scope first, so an unqualified name two
+// inputs share is reported as ambiguous instead of silently binding
+// to the first input that has it.
+func (c *planCtx) sideOf(cj sql.Expr, n *fromNode) (side, error) {
+	if _, err := bindExpr(cj, n.sc, c.p.Funcs, nil, c.params); err != nil {
+		return 0, err
 	}
-	conjuncts := splitConjuncts(j.On, nil)
+	l, r := c.bindable(cj, n.left.sc), c.bindable(cj, n.right.sc)
+	switch {
+	case l && !r:
+		return sideLeft, nil
+	case r && !l:
+		return sideRight, nil
+	}
+	return sideBoth, nil
+}
+
+// assemble builds the operator tree for n with the given WHERE
+// conjuncts applied. It is the one predicate-pushdown routine for
+// every FROM shape:
+//
+//   - inner and cross joins push a conjunct of either WHERE or ON into
+//     the one input it binds in; a WHERE conjunct spanning both inputs
+//     becomes a hash key when it is an equality, else a filter above
+//     the join, and a spanning ON conjunct a key or the join residual;
+//   - a LEFT JOIN pushes WHERE conjuncts into its preserved (left)
+//     input only and right-only ON conjuncts into its right input; a
+//     left-only ON conjunct stays in the join condition (it decides
+//     matches, never drops preserved rows), and every other WHERE
+//     conjunct (b.y IS NULL) filters above the join.
+//
+// A conjunct reaching a leaf lands there through pushDown, which also
+// routes point predicates on a sharded table to one shard.
+func (c *planCtx) assemble(n *fromNode, where []sql.Expr) (exec.Operator, error) {
+	if n.left == nil {
+		op, err := c.pushDown(n.op, n.sc, where)
+		if err != nil {
+			return nil, err
+		}
+		return exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem), nil
+	}
+	outer := n.kind == sql.JoinLeft
+	var toLeft, toRight, above, spanWhere, spanOn []sql.Expr
+	for _, cj := range where {
+		s, err := c.sideOf(cj, n)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case s == sideLeft:
+			toLeft = append(toLeft, cj)
+		case s == sideRight && !outer:
+			toRight = append(toRight, cj)
+		case s == sideBoth && !outer:
+			spanWhere = append(spanWhere, cj)
+		default:
+			above = append(above, cj)
+		}
+	}
+	for _, cj := range n.on {
+		s, err := c.sideOf(cj, n)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case s == sideLeft && !outer:
+			toLeft = append(toLeft, cj)
+		case s == sideRight:
+			toRight = append(toRight, cj)
+		default:
+			spanOn = append(spanOn, cj)
+		}
+	}
+	lop, err := c.assemble(n.left, toLeft)
+	if err != nil {
+		return nil, err
+	}
+	rop, err := c.assemble(n.right, toRight)
+	if err != nil {
+		return nil, err
+	}
+
+	// Promote cross-input equalities to hash-join keys. equiKey
+	// resolves each side against its own scope, so both key lists are
+	// already operator-local positions.
 	var lkeys, rkeys []int
 	var residual []sql.Expr
-	for _, cj := range conjuncts {
-		if lk, rk, ok := equiKey(cj, ls, rs); ok {
-			lkeys = append(lkeys, lk)
-			rkeys = append(rkeys, rk)
+	for _, cj := range spanOn {
+		if lk, rk, ok := equiKey(cj, n.left.sc, n.right.sc); ok {
+			lkeys, rkeys = append(lkeys, lk), append(rkeys, rk)
 		} else {
 			residual = append(residual, cj)
 		}
 	}
-	var resExpr expr.Expr
-	if rest := andAll(residual); rest != nil {
-		resExpr, err = bindExpr(rest, combined, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
+	for _, cj := range spanWhere {
+		if lk, rk, ok := equiKey(cj, n.left.sc, n.right.sc); ok {
+			lkeys, rkeys = append(lkeys, lk), append(rkeys, rk)
+		} else {
+			above = append(above, cj)
 		}
 	}
-	if len(lkeys) > 0 {
-		// equiKey resolves each side against its own scope, so both key
-		// lists are already operator-local positions.
-		return &exec.HashJoin{
+	var resExpr expr.Expr
+	if rest := andAll(residual); rest != nil {
+		if resExpr, err = bindExpr(rest, n.sc, c.p.Funcs, nil, c.params); err != nil {
+			return nil, err
+		}
+	}
+	jt := exec.InnerJoin
+	if outer {
+		jt = exec.LeftJoin
+	}
+	var op exec.Operator
+	switch {
+	case len(lkeys) > 0:
+		op = &exec.HashJoin{
 			Left: lop, Right: rop,
 			LeftKeys: lkeys, RightKeys: rkeys,
 			Type: jt, Residual: resExpr,
 			Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
 			Streaming: c.serial,
-		}, combined, nil
+		}
+	case resExpr == nil && !outer:
+		op = &exec.NestedLoopJoin{Left: lop, Right: rop, Type: exec.CrossJoin, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}
+	default:
+		op = &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: resExpr, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}
 	}
-	return &exec.NestedLoopJoin{Left: lop, Right: rop, Type: jt, On: resExpr, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}, combined, nil
+	return c.filter(op, n.sc, above)
 }
 
 // planCore lowers one SELECT core; it returns the operator and the
 // printed select-item strings (for ORDER BY matching).
 func (c *planCtx) planCore(core *sql.SelectCore) (exec.Operator, []string, error) {
-	var op exec.Operator
-	var sc *Scope
-
-	pending := []sql.Expr{}
+	var where []sql.Expr
 	if core.Where != nil {
-		pending = splitConjuncts(core.Where, nil)
+		where = splitConjuncts(core.Where, nil)
 	}
-
-	if len(core.From) == 0 {
-		op = &exec.OneRow{}
-		sc = &Scope{Cols: []ScopeCol{{Qualifier: "$system", Name: "$one", Type: storage.TypeInt64, Hidden: true}}}
-	} else {
-		var err error
-		op, sc, err = c.planTableRef(core.From[0])
+	root := &fromNode{
+		op: &exec.OneRow{},
+		sc: &Scope{Cols: []ScopeCol{{Qualifier: "$system", Name: "$one", Type: storage.TypeInt64, Hidden: true}}},
+	}
+	for i, item := range core.From {
+		n, err := c.fromTree(item)
 		if err != nil {
 			return nil, nil, err
 		}
-		op, pending, err = c.pushDown(op, sc, pending)
-		if err != nil {
-			return nil, nil, err
-		}
-		op = exec.ParallelizeMem(op, c.workers, c.p.Budget, c.mem)
-		for _, item := range core.From[1:] {
-			rop, rsc, err := c.planTableRef(item)
-			if err != nil {
-				return nil, nil, err
-			}
-			rop, pending, err = c.pushDown(rop, rsc, pending)
-			if err != nil {
-				return nil, nil, err
-			}
-			rop = exec.ParallelizeMem(rop, c.workers, c.p.Budget, c.mem)
-			// Promote cross-scope equality conjuncts to hash-join keys.
-			var lkeys, rkeys []int
-			var rest []sql.Expr
-			for _, cj := range pending {
-				if lk, rk, ok := equiKey(cj, sc, rsc); ok {
-					lkeys = append(lkeys, lk)
-					rkeys = append(rkeys, rk)
-				} else {
-					rest = append(rest, cj)
-				}
-			}
-			pending = rest
-			combined := Concat(sc, rsc)
-			if len(lkeys) > 0 {
-				op = &exec.HashJoin{Left: op, Right: rop,
-					LeftKeys: lkeys, RightKeys: rkeys, Type: exec.InnerJoin,
-					Workers: c.workers, Budget: c.p.Budget, Mem: c.mem,
-					Streaming: c.serial}
-			} else {
-				op = &exec.NestedLoopJoin{Left: op, Right: rop, Type: exec.CrossJoin, Workers: c.workers, Budget: c.p.Budget, Mem: c.mem}
-			}
-			sc = combined
-			// Apply conjuncts that became bindable after this join.
-			op, pending, err = c.pushDown(op, sc, pending)
-			if err != nil {
-				return nil, nil, err
-			}
+		if i == 0 {
+			root = n
+		} else {
+			root = joinNode(sql.JoinCross, root, n)
 		}
 	}
-
-	// Whatever WHERE conjuncts remain must bind on the full scope.
-	if rest := andAll(pending); rest != nil {
-		pred, err := bindExpr(rest, sc, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
-		}
-		if pred.Type() != storage.TypeBool {
-			return nil, nil, fmt.Errorf("plan: WHERE must be boolean, got %s", pred.Type())
-		}
-		op = &exec.Filter{Input: op, Pred: pred}
+	op, err := c.assemble(root, where)
+	if err != nil {
+		return nil, nil, err
 	}
+	sc := root.sc
 
 	// Aggregate detection.
 	var aggASTs []*sql.FuncExpr
@@ -571,27 +657,17 @@ func (c *planCtx) planCore(core *sql.SelectCore) (exec.Operator, []string, error
 	return c.planProjection(op, sc, core, nil)
 }
 
-// pushDown applies every pending conjunct that binds on the given scope
-// as a filter, returning the filtered operator and the remaining list.
-// When the operator is a scan of a hash-partitioned table and one of
-// the applicable conjuncts is a point predicate on the partition key,
-// the scan is routed to the owning shard: the filter still runs (it
-// keeps the semantics exact), but only one shard is read — point
-// lookups, and any aggregate sitting above such a filter, become
-// shard-local.
-func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exec.Operator, []sql.Expr, error) {
-	var applicable []sql.Expr
-	var rest []sql.Expr
-	for _, cj := range pending {
-		if c.bindable(cj, sc) {
-			applicable = append(applicable, cj)
-		} else {
-			rest = append(rest, cj)
-		}
-	}
+// pushDown applies conjuncts, each of which binds on the leaf's scope,
+// as a filter over a FROM leaf. When the leaf is a scan of a
+// hash-partitioned table and one of the conjuncts is a point predicate
+// on the partition key, the scan is routed to the owning shard: the
+// filter still runs (it keeps the semantics exact), but only one shard
+// is read — point lookups, joins probing from such a scan, and any
+// aggregate above them become shard-local.
+func (c *planCtx) pushDown(op exec.Operator, sc *Scope, conjuncts []sql.Expr) (exec.Operator, error) {
 	if ts, ok := op.(*exec.TableScan); ok && ts.Shard == 0 && !ts.NoSplit {
 		if sh, ok := ts.Table.(storage.Sharded); ok && sh.NumShards() > 1 && sh.ShardKey() >= 0 {
-			for _, cj := range applicable {
+			for _, cj := range conjuncts {
 				if s, ok := shardForConjunct(cj, sc, sh); ok {
 					ts.Shard = s + 1
 					break
@@ -610,17 +686,24 @@ func (c *planCtx) pushDown(op exec.Operator, sc *Scope, pending []sql.Expr) (exe
 			}
 		}
 	}
-	if pred := andAll(applicable); pred != nil {
-		bound, err := bindExpr(pred, sc, c.p.Funcs, nil, c.params)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bound.Type() != storage.TypeBool {
-			return nil, nil, fmt.Errorf("plan: WHERE must be boolean, got %s", bound.Type())
-		}
-		op = &exec.Filter{Input: op, Pred: bound}
+	return c.filter(op, sc, conjuncts)
+}
+
+// filter wraps op in a Filter for the conjunction of conjuncts, bound
+// on op's scope (no conjuncts: op unchanged).
+func (c *planCtx) filter(op exec.Operator, sc *Scope, conjuncts []sql.Expr) (exec.Operator, error) {
+	pred := andAll(conjuncts)
+	if pred == nil {
+		return op, nil
 	}
-	return op, rest, nil
+	bound, err := bindExpr(pred, sc, c.p.Funcs, nil, c.params)
+	if err != nil {
+		return nil, err
+	}
+	if bound.Type() != storage.TypeBool {
+		return nil, fmt.Errorf("plan: WHERE must be boolean, got %s", bound.Type())
+	}
+	return &exec.Filter{Input: op, Pred: bound}, nil
 }
 
 // shardForConjunct recognizes `key = literal` (either operand order)

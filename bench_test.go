@@ -11,11 +11,11 @@ package vertexica
 //	BenchmarkHop1_*   — §3.2 1-hop SQL algorithms.
 //	BenchmarkTemporal* — §3.3 time-series analysis.
 //
-// Datasets are scaled down from the paper's sizes (see DESIGN.md) so
-// the whole suite runs on one machine; EXPERIMENTS.md records the
-// measured shape against the paper's. The Giraph and GraphDB baselines
-// include their modeled overheads (cluster coordination, transaction
-// cost), exactly as in the Figure 2 reproduction.
+// Datasets are scaled down from the paper's sizes (the presets in
+// internal/dataset) so the whole suite runs on one machine. The Giraph
+// and GraphDB baselines include their modeled overheads (cluster
+// coordination, transaction cost), exactly as in the Figure 2
+// reproduction.
 
 import (
 	"context"

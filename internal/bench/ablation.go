@@ -13,8 +13,8 @@ import (
 )
 
 // Ablation studies for the §2.3 optimizations. Each returns rows
-// suitable for PrintAblation; each maps to one design choice called out
-// in DESIGN.md.
+// suitable for PrintAblation; each maps to one §2.3 design choice (see
+// the README's package map).
 
 // AblationRow is one ablation measurement.
 type AblationRow struct {
@@ -88,7 +88,7 @@ func AblationBatching(scale float64, iters int, partitions []int) ([]AblationRow
 // It uses collaborative filtering rather than PageRank: CF's per-vertex
 // compute (latent-vector SGD) is heavy enough that worker scaling is
 // visible, whereas PageRank's compute is dwarfed by input assembly at
-// laptop scale (see EXPERIMENTS.md).
+// laptop scale.
 func AblationWorkers(scale float64, iters int, workers []int) ([]AblationRow, error) {
 	var rows []AblationRow
 	ds := dataset.MakeUndirected(dataset.TwitterScale(scale))

@@ -198,7 +198,8 @@ func (r *Rows) Materialize() (*storage.Batch, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	out := storage.NewBatch(r.schema)
+	var buf [8]*storage.Batch // on the stack; a longer result grows the list on the heap
+	pending := buf[:0]
 	for {
 		b, err := r.Next()
 		if err != nil {
@@ -207,10 +208,12 @@ func (r *Rows) Materialize() (*storage.Batch, error) {
 		if b == nil {
 			break
 		}
-		if err := storage.Concat(out, b); err != nil {
-			r.fail(err)
-			return nil, err
-		}
+		pending = append(pending, b)
+	}
+	out, err := storage.ConcatBatches(r.schema, pending)
+	if err != nil {
+		r.fail(err)
+		return nil, err
 	}
 	r.Data = out
 	r.pos = 0 // Data holds only unconsumed batches; Next serves them

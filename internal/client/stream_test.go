@@ -77,8 +77,7 @@ func TestQueryStreamMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := storage.NewBatch(rows.Schema())
-	batches := 0
+	var batches []*storage.Batch
 	for {
 		b, err := rows.Next()
 		if err != nil {
@@ -87,13 +86,14 @@ func TestQueryStreamMatchesMaterialized(t *testing.T) {
 		if b == nil {
 			break
 		}
-		batches++
-		if err := storage.Concat(got, b); err != nil {
-			t.Fatal(err)
-		}
+		batches = append(batches, b)
 	}
-	if batches < 2 {
-		t.Fatalf("stream arrived in %d batch(es); expected several for %d rows", batches, n)
+	if len(batches) < 2 {
+		t.Fatalf("stream arrived in %d batch(es); expected several for %d rows", len(batches), n)
+	}
+	got, err := storage.ConcatBatches(rows.Schema(), batches)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !wire.EqualBatches(got, want.Data) {
 		t.Fatal("streamed result differs from materialized result")

@@ -553,7 +553,8 @@ func (r *Rows) Materialize() (*storage.Batch, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	out := storage.NewBatch(r.schema)
+	var buf [8]*storage.Batch // on the stack; a longer result grows the list on the heap
+	pending := buf[:0]
 	for {
 		b, err := r.Next()
 		if err != nil {
@@ -562,11 +563,12 @@ func (r *Rows) Materialize() (*storage.Batch, error) {
 		if b == nil {
 			break
 		}
-		if err := storage.Concat(out, b); err != nil {
-			r.err = err
-			r.finish()
-			return nil, err
-		}
+		pending = append(pending, b)
+	}
+	out, err := storage.ConcatBatches(r.schema, pending)
+	if err != nil {
+		r.err = err
+		return nil, err
 	}
 	r.data = out
 	r.pos = 0 // data holds only unconsumed batches; Next serves them

@@ -633,6 +633,43 @@ func TestPreparedHop1JoinReadsOneShard(t *testing.T) {
 		t.Errorf("prepared join scanned %d rows, want at most %d (one shard + nodes)", counts["Scan"], bound)
 	}
 
+	checkPreparedAllocs(t, sess, "prepared 1-hop join", q, args, preparedHop1AllocCeiling)
+}
+
+// preparedLookupAllocCeiling is the committed allocation ceiling for one
+// execution of the prepared point lookup below at parallelism 1 (87
+// measured with Go 1.24, 88 under the 64 KB VXDB_WORK_MEM grant). It may
+// only be lowered.
+const preparedLookupAllocCeiling = 88
+
+// TestPreparedLookupAllocs pins the allocation count of a prepared
+// point lookup routed to one shard of the 1-hop fixture's edge table.
+func TestPreparedLookupAllocs(t *testing.T) {
+	db := hop1JoinDB(t)
+	sess := db.NewSession()
+	defer sess.Close()
+	if _, _, err := sess.RunStream(context.Background(), "SET parallelism = 1"); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT dst FROM edges WHERE src = $1"
+	args := []storage.Value{storage.Int64(17)}
+	rows, _, err := sess.RunStreamBound(context.Background(), q, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// dst = (17*7 + j) % 120 for j < 5.
+	if got := strings.Join(rowLines(t, rows), ","); got != "119,0,1,2,3" {
+		t.Errorf("prepared lookup rows = %s, want 119,0,1,2,3", got)
+	}
+	checkPreparedAllocs(t, sess, "prepared point lookup", q, args, preparedLookupAllocCeiling)
+}
+
+// checkPreparedAllocs measures the allocations of one streamed
+// execution of a prepared statement and enforces its ceiling (plain
+// builds only; see raceEnabled).
+func checkPreparedAllocs(t *testing.T, sess *Session, name, q string, args []storage.Value, ceiling int) {
+	t.Helper()
+	ctx := context.Background()
 	allocs := testing.AllocsPerRun(50, func() {
 		rows, _, err := sess.RunStreamBound(ctx, q, args)
 		if err != nil {
@@ -649,8 +686,8 @@ func TestPreparedHop1JoinReadsOneShard(t *testing.T) {
 		}
 		rows.Close()
 	})
-	t.Logf("prepared 1-hop join: %.0f allocs/run", allocs)
-	if allocs > preparedHop1AllocCeiling && !raceEnabled {
-		t.Errorf("prepared 1-hop join: %.0f allocs/run, ceiling %d", allocs, preparedHop1AllocCeiling)
+	t.Logf("%s: %.0f allocs/run", name, allocs)
+	if allocs > float64(ceiling) && !raceEnabled {
+		t.Errorf("%s: %.0f allocs/run, ceiling %d", name, allocs, ceiling)
 	}
 }

@@ -294,7 +294,7 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 	defer mt.releaseAll()
 	var rpart *storage.Batch
 	if rrun != nil {
-		rpart = storage.NewBatch(rrun.Schema())
+		pending := make([]*storage.Batch, 0, rrun.Frames())
 		rr := rrun.Reader()
 		for {
 			b, err := rr.Next()
@@ -308,9 +308,11 @@ func (j *HashJoin) graceProbe(lrun, rrun *storage.SpillRun, level int, results *
 				mt.releaseAll()
 				return j.graceRecurse(lrun, rrun, level, results)
 			}
-			if err := storage.Concat(rpart, b); err != nil {
-				return err
-			}
+			pending = append(pending, b)
+		}
+		var err error
+		if rpart, err = storage.ConcatBatches(rrun.Schema(), pending); err != nil {
+			return err
 		}
 	}
 	built := make(map[uint64][]int)

@@ -213,7 +213,8 @@ func (j *HashJoin) drainAccounted(op Operator, rows *atomic.Int64, mt *memTracke
 	if err := op.Open(); err != nil {
 		return nil, false, err
 	}
-	out := storage.NewBatch(op.Schema())
+	var buf [drainBatches]*storage.Batch
+	pending, held := buf[:0], 0
 	for {
 		b, err := op.Next()
 		if err != nil {
@@ -224,16 +225,23 @@ func (j *HashJoin) drainAccounted(op Operator, rows *atomic.Int64, mt *memTracke
 			break
 		}
 		rows.Add(int64(b.Len()))
-		spill := !mt.reserve(storage.BatchBytes(b)) && out.Len() > 0
-		if err := storage.Concat(out, b); err != nil {
-			op.Close()
-			return nil, false, err
-		}
+		// The denied batch still joins the partial build it ends.
+		spill := !mt.reserve(storage.BatchBytes(b)) && held > 0
+		pending, held = append(pending, b), held+b.Len()
 		if spill {
+			out, err := storage.ConcatBatches(op.Schema(), pending)
+			if err != nil {
+				op.Close()
+				return nil, false, err
+			}
 			return out, true, nil
 		}
 	}
 	if err := op.Close(); err != nil {
+		return nil, false, err
+	}
+	out, err := storage.ConcatBatches(op.Schema(), pending)
+	if err != nil {
 		return nil, false, err
 	}
 	return out, false, nil
@@ -780,7 +788,8 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 	if err := j.Left.Open(); err != nil {
 		return false, err
 	}
-	lall := storage.NewBatch(j.Left.Schema())
+	var buf [drainBatches]*storage.Batch
+	pending := buf[:0]
 	spill := false
 	for !spill {
 		b, err := j.Left.Next()
@@ -795,10 +804,7 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 			spill = true
 			break
 		}
-		if err := storage.Concat(lall, b); err != nil {
-			j.Left.Close()
-			return false, err
-		}
+		pending = append(pending, b)
 	}
 	if err := j.Left.Close(); err != nil {
 		return false, err
@@ -806,6 +812,10 @@ func (j *NestedLoopJoin) openParallel() (done bool, err error) {
 	if spill {
 		lmt.releaseAll()
 		return false, nil
+	}
+	lall, err := storage.ConcatBatches(j.Left.Schema(), pending)
+	if err != nil {
+		return false, err
 	}
 	j.mt.held += lmt.held
 	lmt.held = 0

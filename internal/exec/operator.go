@@ -49,6 +49,11 @@ func NextChunk(b *storage.Batch, pos *int, hi int) *storage.Batch {
 	return out
 }
 
+// drainBatches sizes the on-stack list in which a drain collects its
+// input batches before one storage.ConcatBatches; a longer drain grows
+// the list on the heap.
+const drainBatches = 8
+
 // Drain pulls every batch from op into one concatenated batch. The
 // operator is opened and closed by Drain.
 func Drain(op Operator) (*storage.Batch, error) {
@@ -56,18 +61,17 @@ func Drain(op Operator) (*storage.Batch, error) {
 		return nil, err
 	}
 	defer op.Close()
-	out := storage.NewBatch(op.Schema())
+	var buf [drainBatches]*storage.Batch
+	pending := buf[:0]
 	for {
 		b, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
-			return out, nil
+			return storage.ConcatBatches(op.Schema(), pending)
 		}
-		if err := storage.Concat(out, b); err != nil {
-			return nil, err
-		}
+		pending = append(pending, b)
 	}
 }
 
@@ -597,7 +601,9 @@ func (s *Sort) open() error {
 		return err
 	}
 	defer s.Input.Close()
-	all := storage.NewBatch(s.Input.Schema())
+	schema := s.Input.Schema()
+	var buf [drainBatches]*storage.Batch
+	pending, held := buf[:0], 0
 	var runs []*storage.SpillRun
 	closeRuns := func() {
 		for _, r := range runs {
@@ -613,31 +619,33 @@ func (s *Sort) open() error {
 		if b == nil {
 			break
 		}
-		if !s.mt.reserve(storage.BatchBytes(b)) && all.Len() > 0 {
-			run, err := s.spillRun(all)
+		if !s.mt.reserve(storage.BatchBytes(b)) && held > 0 {
+			run, err := s.spillRun(schema, pending)
 			if err != nil {
 				closeRuns()
 				return err
 			}
 			runs = append(runs, run)
 			s.mt.releaseAll()
-			all = storage.NewBatch(s.Input.Schema())
+			clear(pending)
+			pending, held = pending[:0], 0
 			// Re-reserve against the fresh buffer; a denial here means
 			// even one batch exceeds the grant, and the one-batch working
 			// floor proceeds unreserved.
 			s.mt.reserve(storage.BatchBytes(b))
 		}
-		if err := storage.Concat(all, b); err != nil {
-			closeRuns()
-			return err
-		}
+		pending, held = append(pending, b), held+b.Len()
 	}
 	if len(runs) == 0 {
+		all, err := storage.ConcatBatches(schema, pending)
+		if err != nil {
+			return err
+		}
 		s.out = s.sortAll(all)
 		return nil
 	}
-	if all.Len() > 0 {
-		run, err := s.spillRun(all)
+	if held > 0 {
+		run, err := s.spillRun(schema, pending)
 		if err != nil {
 			closeRuns()
 			return err
@@ -687,9 +695,13 @@ func (s *Sort) fs() storage.SpillFS {
 	return storage.DefaultSpillFS
 }
 
-// spillRun sorts the buffered prefix and writes it to disk as one run
-// in BatchSize frames.
-func (s *Sort) spillRun(all *storage.Batch) (*storage.SpillRun, error) {
+// spillRun sorts the buffered batches and writes them to disk as one
+// run in BatchSize frames.
+func (s *Sort) spillRun(schema storage.Schema, pending []*storage.Batch) (*storage.SpillRun, error) {
+	all, err := storage.ConcatBatches(schema, pending)
+	if err != nil {
+		return nil, err
+	}
 	sorted := s.sortAll(all)
 	w, err := storage.NewRunWriter(s.fs(), sorted.Schema)
 	if err != nil {

@@ -234,7 +234,7 @@ func TestSortParallelMatchesSerial(t *testing.T) {
 		if err := s.Open(); err != nil {
 			t.Fatal(err)
 		}
-		got := storage.NewBatch(s.Schema())
+		var batches []*storage.Batch
 		for {
 			b, err := s.Next()
 			if err != nil {
@@ -247,11 +247,13 @@ func TestSortParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("workers=%d: sort emitted a %d-row batch, want <= %d",
 					workers, b.Len(), storage.BatchSize)
 			}
-			if err := storage.Concat(got, b); err != nil {
-				t.Fatal(err)
-			}
+			batches = append(batches, b)
 		}
 		s.Close()
+		got, err := storage.ConcatBatches(s.Schema(), batches)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sameBatches(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }

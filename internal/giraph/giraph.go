@@ -2,7 +2,7 @@
 // system in the Figure 2 reproduction: an in-memory BSP (Pregel) engine
 // with *modeled* distributed-cluster overheads.
 //
-// Substitution note (see DESIGN.md): the paper benchmarks Giraph on a
+// Substitution note: the paper benchmarks Giraph on a
 // 4-machine cluster. On the graph sizes of Figure 2, Giraph's cost is
 // dominated by fixed per-superstep coordination (ZooKeeper barriers,
 // job bookkeeping) plus message serialization and shuffling — which is

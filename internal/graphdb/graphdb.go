@@ -3,7 +3,7 @@
 // list property-graph store with record-level lock-based transactions
 // and a traversal API.
 //
-// Substitution note (see DESIGN.md): Neo4j's poor showing on global
+// Substitution note: Neo4j's poor showing on global
 // analytics in the paper comes from per-hop transactional record access
 // — every traversal decodes relationship records from the store format
 // and every operation pays transaction machinery. This store reproduces

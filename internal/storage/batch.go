@@ -105,16 +105,48 @@ func SortBatch(b *Batch, keys []SortKey) *Batch {
 }
 
 // Concat appends the rows of src to dst (schemas must be compatible).
+// Columns of matching type are appended as whole slices; a mismatched
+// column type falls back to coercing each value.
 func Concat(dst, src *Batch) error {
 	if len(dst.Cols) != len(src.Cols) {
 		return fmt.Errorf("storage: concat arity mismatch %d vs %d", len(dst.Cols), len(src.Cols))
 	}
 	for j := range dst.Cols {
-		for i := 0; i < src.Cols[j].Len(); i++ {
-			if err := dst.Cols[j].Append(src.Cols[j].Value(i)); err != nil {
-				return err
-			}
+		if err := appendColumn(dst.Cols[j], src.Cols[j]); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// ConcatBatches concatenates bs, in order, into one new batch with
+// schema s. It sums the row counts first and allocates each output
+// column once at its final length, so its allocation count depends on
+// the number of columns and not on the number of rows. Inputs whose
+// column types differ from s are coerced per value, as in Concat.
+//
+// The output never shares storage with the inputs. Callers collect the
+// batches an operator returns from Next and concatenate them once at
+// the end of the drain; that is sound because no operator reuses or
+// mutates a batch after returning it (every Next hands out a freshly
+// built batch, a copy, or an immutable materialized result).
+func ConcatBatches(s Schema, bs []*Batch) (*Batch, error) {
+	total := 0
+	for _, b := range bs {
+		if len(b.Cols) != s.Len() {
+			return nil, fmt.Errorf("storage: concat arity mismatch %d vs %d", s.Len(), len(b.Cols))
+		}
+		total += b.Len()
+	}
+	out := &Batch{Schema: s, Cols: make([]Column, s.Len())}
+	for j, c := range s.Cols {
+		col := NewColumn(c.Type, total)
+		for _, b := range bs {
+			if err := appendColumn(col, b.Cols[j]); err != nil {
+				return nil, err
+			}
+		}
+		out.Cols[j] = col
+	}
+	return out, nil
 }

@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Column is a typed, null-aware vector of values. Operators in the
 // executor work on whole columns (vectorized execution); the vertex
@@ -28,6 +31,7 @@ type Column interface {
 
 // GatherPad is Gather with padding: index -1 yields a NULL row. The
 // hash join's vectorized left-join path uses it to pad unmatched rows.
+// Like AppendNull, a padded or NULL row holds the type's zero value.
 func GatherPad(c Column, idx []int) Column {
 	hasPad := false
 	for _, i := range idx {
@@ -39,19 +43,101 @@ func GatherPad(c Column, idx []int) Column {
 	if !hasPad {
 		return c.Gather(idx)
 	}
-	out := NewColumn(c.Type(), len(idx))
-	for _, i := range idx {
-		if i < 0 {
-			out.AppendNull()
-			continue
+	src := NullsOf(c)
+	nulls := NewBitmap(len(idx))
+	for j, i := range idx {
+		if i < 0 || src.Get(i) {
+			nulls.Set(j)
 		}
-		if c.IsNull(i) {
-			out.AppendNull()
-			continue
+	}
+	switch col := c.(type) {
+	case *Int64Column:
+		return &Int64Column{vals: gatherPadVals(col.vals, idx, nulls), nulls: nulls}
+	case *Float64Column:
+		return &Float64Column{vals: gatherPadVals(col.vals, idx, nulls), nulls: nulls}
+	case *StringColumn:
+		return &StringColumn{vals: gatherPadVals(col.vals, idx, nulls), nulls: nulls}
+	case *BoolColumn:
+		return &BoolColumn{vals: gatherPadVals(col.vals, idx, nulls), nulls: nulls}
+	default:
+		panic(fmt.Sprintf("storage: unknown column %T", c))
+	}
+}
+
+// gatherPadVals gathers vals at idx, leaving the rows set in nulls at
+// the zero value.
+func gatherPadVals[T any](vals []T, idx []int, nulls *Bitmap) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		if !nulls.Get(j) {
+			out[j] = vals[i]
 		}
-		_ = out.Append(c.Value(i))
 	}
 	return out
+}
+
+// appendColumn appends the rows of src to dst. When the column types
+// match, the values are copied as one slice and the null bitmap is
+// carried over (materialized only when src has a NULL row). Otherwise,
+// such as INTEGER rows going into a DOUBLE column, each value is
+// coerced through Append.
+func appendColumn(dst, src Column) error {
+	switch d := dst.(type) {
+	case *Int64Column:
+		if s, ok := src.(*Int64Column); ok {
+			d.vals, d.nulls = appendTyped(d.vals, d.nulls, s.vals, s.nulls)
+			return nil
+		}
+	case *Float64Column:
+		if s, ok := src.(*Float64Column); ok {
+			d.vals, d.nulls = appendTyped(d.vals, d.nulls, s.vals, s.nulls)
+			return nil
+		}
+	case *StringColumn:
+		if s, ok := src.(*StringColumn); ok {
+			d.vals, d.nulls = appendTyped(d.vals, d.nulls, s.vals, s.nulls)
+			return nil
+		}
+	case *BoolColumn:
+		if s, ok := src.(*BoolColumn); ok {
+			d.vals, d.nulls = appendTyped(d.vals, d.nulls, s.vals, s.nulls)
+			return nil
+		}
+	}
+	for i := 0; i < src.Len(); i++ {
+		if err := dst.Append(src.Value(i)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// appendTyped appends src (with null bitmap srcNulls) to vals (with
+// null bitmap nulls). A NULL row of src lands as the zero value, as
+// AppendNull stores it. A new bitmap is sized to cap(vals), so a
+// column allocated at its final length allocates its bitmap once.
+func appendTyped[T any](vals []T, nulls *Bitmap, src []T, srcNulls *Bitmap) ([]T, *Bitmap) {
+	n := len(vals)
+	vals = append(vals, src...)
+	if nulls != nil {
+		nulls.Resize(len(vals))
+	}
+	var zero T
+	for w, word := range srcNulls.Words() {
+		for ; word != 0; word &= word - 1 {
+			i := w*64 + bits.TrailingZeros64(word)
+			if i >= len(src) {
+				return vals, nulls
+			}
+			if nulls == nil {
+				nulls = &Bitmap{words: make([]uint64, 0, (cap(vals)+63)/64)}
+				nulls.Resize(len(vals))
+			}
+			nulls.Set(n + i)
+			vals[n+i] = zero
+		}
+	}
+	return vals, nulls
 }
 
 // NullsOf exposes a column's null bitmap (nil when no row is NULL);

@@ -1,5 +1,7 @@
 package storage
 
+import "fmt"
+
 // Sorted-run merging. The superstep input cache keeps the immutable
 // edge side of the table union partitioned and sorted once per run;
 // each superstep then sorts only the small vertex+message run and
@@ -127,16 +129,7 @@ func gatherTwo(a, b Column, order []int, na int) Column {
 		mergeNulls(&out.nulls, ac.nulls, bc.nulls, order, na)
 		return out
 	default:
-		// Unknown column type: fall back to boxed appends.
-		out := NewColumn(a.Type(), len(order))
-		for _, o := range order {
-			if o < na {
-				_ = out.Append(a.Value(o))
-			} else {
-				_ = out.Append(b.Value(o - na))
-			}
-		}
-		return out
+		panic(fmt.Sprintf("storage: unknown column %T", a))
 	}
 }
 

@@ -345,8 +345,9 @@ func (t *ShardedTable) Column(i int) Column {
 	return t.Data().Cols[i]
 }
 
-// concatColumns concatenates typed columns with bulk copies; the null
-// bitmap is only materialized when a part actually has NULL rows.
+// concatColumns concatenates same-typed columns (a table's shards)
+// into one column allocated at its final length. A single part is
+// returned as is: shard storage is shared read-only.
 func concatColumns(parts []Column) Column {
 	if len(parts) == 1 {
 		return parts[0]
@@ -355,59 +356,11 @@ func concatColumns(parts []Column) Column {
 	for _, p := range parts {
 		total += p.Len()
 	}
-	var nulls *Bitmap
-	markNulls := func(p Column, off int) {
-		pn := NullsOf(p)
-		if pn == nil || !pn.Any() {
-			return
-		}
-		if nulls == nil {
-			nulls = NewBitmap(total)
-		}
-		for i := 0; i < p.Len(); i++ {
-			if pn.Get(i) {
-				nulls.Set(off + i)
-			}
-		}
+	out := NewColumn(parts[0].Type(), total)
+	for _, p := range parts {
+		_ = appendColumn(out, p) // same type: a bulk copy that cannot fail
 	}
-	switch parts[0].(type) {
-	case *Int64Column:
-		vals := make([]int64, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*Int64Column).vals...)
-		}
-		return &Int64Column{vals: vals, nulls: nulls}
-	case *Float64Column:
-		vals := make([]float64, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*Float64Column).vals...)
-		}
-		return &Float64Column{vals: vals, nulls: nulls}
-	case *StringColumn:
-		vals := make([]string, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*StringColumn).vals...)
-		}
-		return &StringColumn{vals: vals, nulls: nulls}
-	case *BoolColumn:
-		vals := make([]bool, 0, total)
-		for _, p := range parts {
-			markNulls(p, len(vals))
-			vals = append(vals, p.(*BoolColumn).vals...)
-		}
-		return &BoolColumn{vals: vals, nulls: nulls}
-	default:
-		out := parts[0].Slice(0, parts[0].Len())
-		for _, p := range parts[1:] {
-			for i := 0; i < p.Len(); i++ {
-				_ = out.Append(p.Value(i))
-			}
-		}
-		return out
-	}
+	return out
 }
 
 // SnapshotShard freezes shard i's current contents as an immutable

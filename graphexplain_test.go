@@ -83,6 +83,10 @@ func TestExplainAnalyzeGraphVerb(t *testing.T) {
 		"executed: supersteps=",
 		"cache: builds=",
 		"superstep  1:",
+		"(assemble=",
+		" compute=",
+		" combine=",
+		" write_back=",
 		"result: 40 rows",
 	)
 

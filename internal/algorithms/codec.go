@@ -36,6 +36,33 @@ func parseFloat(s string, def float64) float64 {
 // inf is the encoded "unreached" distance.
 var inf = math.Inf(1)
 
+// sumFloats is a core.Combiner that sums float messages, parsing each
+// value once and formatting the sum once. Because formatFloat round-trips
+// exactly, the result is bit-identical to folding the values pairwise
+// through formatFloat(parseFloat(a) + parseFloat(b)) in the same order.
+func sumFloats(_ int64, values []string) string {
+	sum := parseFloat(values[0], 0)
+	for _, v := range values[1:] {
+		sum += parseFloat(v, 0)
+	}
+	return formatFloat(sum)
+}
+
+// minFloat is a core.Combiner that keeps the first of the smallest float
+// messages (an empty or unparsable value counts as +Inf), returning its
+// original text.
+func minFloat(_ int64, values []string) string {
+	best, bestF := values[0], parseFloat(values[0], inf)
+	for _, v := range values[1:] {
+		// !(bestF <= f), not f < bestF: a fold that keeps a only when
+		// a <= b replaces a NaN, and the two differ exactly there.
+		if f := parseFloat(v, inf); !(bestF <= f) {
+			best, bestF = v, f
+		}
+	}
+	return best
+}
+
 // encodeVec renders a latent-factor vector as comma-separated floats.
 func encodeVec(v []float64) string {
 	parts := make([]string, len(v))

@@ -17,13 +17,16 @@ type ConnectedComponents struct{}
 // Combiner implements core.HasCombiner: candidate labels combine by
 // minimum.
 func (ConnectedComponents) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		la, _ := strconv.ParseInt(a, 10, 64)
-		lb, _ := strconv.ParseInt(b, 10, 64)
-		if la <= lb {
-			return a, true
+	return func(_ int64, values []string) string {
+		best := values[0]
+		bestLabel, _ := strconv.ParseInt(best, 10, 64)
+		for _, v := range values[1:] {
+			// An unparsable label counts as 0.
+			if l, _ := strconv.ParseInt(v, 10, 64); l < bestLabel {
+				best, bestLabel = v, l
+			}
 		}
-		return b, true
+		return best
 	}
 }
 

@@ -43,9 +43,7 @@ func (p *PageRank) Aggregators() []core.AggregatorSpec {
 
 // Combiner implements core.HasCombiner: partial rank contributions sum.
 func (p *PageRank) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		return formatFloat(parseFloat(a, 0) + parseFloat(b, 0)), true
-	}
+	return sumFloats
 }
 
 // Compute implements core.VertexProgram.

@@ -28,9 +28,7 @@ func (r *RandomWalkRestart) restart() float64 {
 
 // Combiner implements core.HasCombiner: probability mass sums.
 func (r *RandomWalkRestart) Combiner() core.Combiner {
-	return func(_ int64, a, b string) (string, bool) {
-		return formatFloat(parseFloat(a, 0) + parseFloat(b, 0)), true
-	}
+	return sumFloats
 }
 
 // Compute implements core.VertexProgram.

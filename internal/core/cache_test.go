@@ -186,7 +186,7 @@ func TestCachedInputAssemblyUnits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFixtureUnits(t, collectUnits(t, in.parts, false), "cached-union")
+	checkFixtureUnits(t, collectPartUnits(t, in.parts, false), "cached-union")
 }
 
 // TestCachedSkipAccounting builds a fully-halted graph with no messages

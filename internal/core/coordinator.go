@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -82,6 +82,13 @@ type SuperstepStats struct {
 	SkippedParts int  // quiescent partitions not dispatched to workers
 	SkippedVerts int  // halted vertices inside skipped partitions
 	Duration     time.Duration
+	// The phases of the superstep, in order. They do not overlap and
+	// their sum is at most Duration; the remainder is the aggregator
+	// merge and bookkeeping.
+	Assemble  time.Duration // input assembly
+	Compute   time.Duration // workers running the vertex program
+	Combine   time.Duration // message shuffle: sort and combine
+	WriteBack time.Duration // vertex and message table write-back
 }
 
 // RunStats summarizes a full run of a vertex program.
@@ -133,6 +140,7 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 	// Align defaulted input partitioning with the graph's shard layout.
 	opts := c.Opts.withDefaultsSharded(vt.NumShards())
 	rowOf := make(map[int64]int, numVerts)
+	var sortedIDs []int64
 	{
 		snap, err := g.DB.AcquireSnapshot(g.VertexTable())
 		if err != nil {
@@ -147,8 +155,13 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		for i, id := range ids {
 			rowOf[id] = i
 		}
+		sortedIDs = slices.Clone(ids)
 		snap.Release()
 	}
+	slices.Sort(sortedIDs)
+	// Messages are shuffled into Partitions destination ranges of equal
+	// vertex count, fixed for the run.
+	shuf := newShuffle(sortedIDs, opts.Partitions)
 
 	var combiner Combiner
 	if hc, ok := c.Program.(HasCombiner); ok && !opts.DisableCombiner {
@@ -163,8 +176,8 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 	aggPrev := make(map[string]float64)
 
 	// The edge side of the union input is immutable for the duration of
-	// a run, so it is partitioned and sorted once here and each
-	// superstep merges only the fresh vertex+message rows into it.
+	// a run, so it is partitioned and parsed into adjacency once here;
+	// each superstep then assembles only the fresh vertex+message rows.
 	var cache *inputCache
 	useCache := !opts.UseJoinInput && !opts.DisableInputCache
 
@@ -176,14 +189,18 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 
 		// 1. Assemble the superstep input: cached union (default),
 		// full union re-sort (ablation), or 3-way join (ablation).
-		var parts []*storage.Batch
+		var parts []partInput
 		cacheHit := false
 		skippedParts, skippedVerts := 0, 0
 		switch {
 		case opts.UseJoinInput:
-			parts, err = buildJoinInput(g, opts.Partitions, opts.Workers)
+			var batches []*storage.Batch
+			batches, err = buildJoinInput(g, opts.Partitions, opts.Workers)
+			parts = wrapParts(batches)
 		case !useCache:
-			parts, err = buildUnionInput(g, opts.Partitions, opts.Workers)
+			var batches []*storage.Batch
+			batches, err = buildUnionInput(g, opts.Partitions, opts.Workers)
+			parts = wrapParts(batches)
 		default:
 			edgeVersion, verr := g.EdgeVersion()
 			if verr != nil {
@@ -215,26 +232,30 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 		inputRows := 0
 		for _, p := range parts {
-			inputRows += p.Len()
+			inputRows += p.inputRows()
 		}
+		assembled := time.Now()
 
-		// 2. Run workers in parallel over the partitions.
-		res, err := c.runWorkers(ctx, parts, step, numVerts, opts, aggPrev, aggKinds)
+		// 2. Run workers in parallel over the partitions; each routes
+		// its messages into destination-range buckets.
+		env := &stepEnv{
+			step: step, numVerts: numVerts, join: opts.UseJoinInput,
+			aggPrev: aggPrev, aggKinds: aggKinds, shuffle: shuf,
+		}
+		res, err := c.runWorkers(ctx, parts, env, opts.Workers)
 		if err != nil {
 			return stats, err
 		}
 		stats.DanglingMessages += int64(res.dangling)
+		computed := time.Now()
 
-		// 3. Combine messages across workers. Combining folds float
-		// values, so the fold order must not depend on which worker
-		// produced which message: sort first, making the combined
-		// values — and therefore the whole run — bit-identical at any
-		// worker count or budget.
-		outMsgs := res.msgs
-		if combiner != nil {
-			sortMessages(outMsgs)
-			outMsgs = combineMessages(outMsgs, combiner)
+		// 3. Shuffle: sort and combine each destination range.
+		outMsgs := shuf.exchange(res.routed, combiner, g.DB.WorkerBudget(), opts.Workers)
+		messagesOut := 0
+		for _, b := range outMsgs {
+			messagesOut += len(b)
 		}
+		combined := time.Now()
 
 		// 4. Write back vertex state via Update-vs-Replace.
 		updated, usedReplace, err := c.writeVertices(vt, rowOf, res.updates, opts.UpdateThreshold)
@@ -243,9 +264,10 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		}
 
 		// 5. Replace the message table with the new superstep's messages.
-		if err := c.writeMessages(outMsgs); err != nil {
+		if err := c.writeMessages(outMsgs, messagesOut); err != nil {
 			return stats, err
 		}
+		written := time.Now()
 
 		// 6. Merge global aggregators for the next superstep.
 		aggPrev = mergeAggregates(res.aggs, aggKinds)
@@ -253,27 +275,51 @@ func (c *Coordinator) Run(ctx context.Context) (*RunStats, error) {
 		ss := SuperstepStats{
 			Superstep:    step,
 			Computed:     res.computed,
-			MessagesOut:  len(outMsgs),
+			MessagesOut:  messagesOut,
 			Updated:      updated,
 			UsedReplace:  usedReplace,
 			InputRows:    inputRows,
 			CacheHit:     cacheHit,
 			SkippedParts: skippedParts,
 			SkippedVerts: skippedVerts,
+			Assemble:     assembled.Sub(stepStart),
+			Compute:      computed.Sub(assembled),
+			Combine:      combined.Sub(computed),
+			WriteBack:    written.Sub(combined),
 			Duration:     time.Since(stepStart),
 		}
 		stats.Steps = append(stats.Steps, ss)
 		stats.Supersteps = step + 1
 		stats.TotalComputed += int64(res.computed)
-		stats.TotalMessages += int64(len(outMsgs))
+		stats.TotalMessages += int64(messagesOut)
 
 		// 7. Halt when no messages remain and every vertex voted halt.
-		if len(outMsgs) == 0 && res.allHalted {
+		if messagesOut == 0 && res.allHalted {
 			break
 		}
 	}
 	stats.Duration = time.Since(start)
 	return stats, nil
+}
+
+// wrapParts turns the batches of the uncached union or join path into
+// partition inputs without adjacency.
+func wrapParts(batches []*storage.Batch) []partInput {
+	parts := make([]partInput, len(batches))
+	for i, b := range batches {
+		parts[i] = partInput{rows: b}
+	}
+	return parts
+}
+
+// stepEnv is the read-only state every worker of a superstep shares.
+type stepEnv struct {
+	step     int
+	numVerts int64
+	join     bool // input rows come from the 3-way join
+	aggPrev  map[string]float64
+	aggKinds map[string]AggregatorKind
+	shuffle  *shuffle
 }
 
 // vertexUpdate is one vertex's post-compute state.
@@ -290,7 +336,7 @@ type vertexUpdate struct {
 // independent of which worker ran which partition.
 type workerResult struct {
 	updates  []vertexUpdate
-	msgs     []Message
+	routed   [][]Message // emitted messages, one slice per shuffle bucket
 	computed int
 	dangling int
 	halted   int
@@ -299,8 +345,8 @@ type workerResult struct {
 
 // mergedResult is the barrier-merged output of all workers.
 type mergedResult struct {
-	updates   []vertexUpdate
-	msgs      []Message
+	updates   [][]vertexUpdate // per worker
+	routed    [][][]Message    // per worker, per shuffle bucket
 	aggs      []map[string]float64
 	computed  int
 	dangling  int
@@ -317,12 +363,10 @@ type mergedResult struct {
 // and surfaced as an error. Workers observe ctx between partitions
 // (and periodically within one), so cancelling mid-superstep aborts
 // the superstep instead of running it to the barrier.
-func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, step int, numVerts int64,
-	opts Options, aggPrev map[string]float64, aggKinds map[string]AggregatorKind) (*mergedResult, error) {
-
+func (c *Coordinator) runWorkers(ctx context.Context, parts []partInput, env *stepEnv, workers int) (*mergedResult, error) {
 	type partWork struct {
 		idx  int
-		part *storage.Batch
+		part partInput
 	}
 	partCh := make(chan partWork, len(parts))
 	for i, p := range parts {
@@ -331,7 +375,7 @@ func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, st
 	close(partCh)
 
 	budget := c.Graph.DB.WorkerBudget()
-	want := opts.Workers
+	want := workers
 	if want > len(parts) {
 		want = len(parts)
 	}
@@ -358,7 +402,7 @@ func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, st
 					errs[w] = fmt.Errorf("core: worker %d: vertex program panicked: %v", w, r)
 				}
 			}()
-			res := &workerResult{}
+			res := &workerResult{routed: make([][]Message, env.shuffle.buckets())}
 			results[w] = res
 			for pw := range partCh {
 				if err := ctx.Err(); err != nil {
@@ -366,7 +410,7 @@ func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, st
 					return
 				}
 				aggs := make(map[string]float64)
-				if err := c.runPartition(ctx, pw.part, step, numVerts, opts, aggPrev, aggKinds, res, aggs); err != nil {
+				if err := c.runPartition(ctx, pw.part, env, res, aggs); err != nil {
 					errs[w] = err
 					return
 				}
@@ -390,8 +434,8 @@ func (c *Coordinator) runWorkers(ctx context.Context, parts []*storage.Batch, st
 		if r == nil {
 			continue
 		}
-		merged.updates = append(merged.updates, r.updates...)
-		merged.msgs = append(merged.msgs, r.msgs...)
+		merged.updates = append(merged.updates, r.updates)
+		merged.routed = append(merged.routed, r.routed)
 		merged.computed += r.computed
 		merged.dangling += r.dangling
 		haltedSeen += r.halted
@@ -426,21 +470,23 @@ func ctxErr(ctx context.Context) error {
 const cancelCheckEvery = 64
 
 // runPartition executes the vertex program serially over one partition
-// — the worker "UDF" of Figure 1. Aggregator contributions fold into
-// aggs (the partition's own map, merged across partitions in
-// deterministic partition order by the caller).
-func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, step int, numVerts int64,
-	opts Options, aggPrev map[string]float64, aggKinds map[string]AggregatorKind, res *workerResult, aggs map[string]float64) error {
+// — the worker "UDF" of Figure 1 — and routes the messages it emits
+// into res's shuffle buckets. Aggregator contributions fold into aggs
+// (the partition's own map, merged across partitions in deterministic
+// partition order by the caller).
+func (c *Coordinator) runPartition(ctx context.Context, part partInput, env *stepEnv,
+	res *workerResult, aggs map[string]float64) error {
 
-	var units []workUnit
-	var dangling int
-	if opts.UseJoinInput {
-		units, dangling = parseJoinPartition(part)
-	} else {
-		units, dangling = parseUnionPartition(part)
-	}
+	units, dangling := part.units(env.join)
 	res.dangling += dangling
 
+	vc := &VertexContext{
+		numVerts: env.numVerts,
+		aggPrev:  env.aggPrev,
+		aggCur:   make(map[string]float64),
+		aggSeen:  make(map[string]bool),
+		aggKind:  env.aggKinds,
+	}
 	for i := range units {
 		if i%cancelCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
@@ -449,26 +495,14 @@ func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, ste
 		}
 		u := &units[i]
 		res.seen++
-		active := step == 0 || len(u.msgs) > 0 || !u.halted
+		active := env.step == 0 || len(u.msgs) > 0 || !u.halted
 		if !active {
 			res.halted++
 			continue
 		}
-		sortEdges(u.edges)
-		vc := &VertexContext{
-			id:        u.id,
-			superstep: step,
-			value:     u.value,
-			halted:    u.halted,
-			outEdges:  u.edges,
-			numVerts:  numVerts,
-			aggPrev:   aggPrev,
-			aggCur:    make(map[string]float64),
-			aggSeen:   make(map[string]bool),
-			aggKind:   aggKinds,
-		}
+		vc.reset(u, env.step)
 		if err := c.Program.Compute(vc, u.msgs); err != nil {
-			return fmt.Errorf("core: vertex %d superstep %d: %w", u.id, step, err)
+			return fmt.Errorf("core: vertex %d superstep %d: %w", u.id, env.step, err)
 		}
 		res.computed++
 		newHalted := vc.votedHalt
@@ -481,10 +515,10 @@ func (c *Coordinator) runPartition(ctx context.Context, part *storage.Batch, ste
 			halted:  newHalted,
 			changed: vc.valueChanged || newHalted != u.halted,
 		})
-		res.msgs = append(res.msgs, vc.outbox...)
+		env.shuffle.route(res.routed, vc.outbox)
 		for name, v := range vc.aggCur {
 			if cur, ok := aggs[name]; ok {
-				aggs[name] = foldAggregate(aggKinds[name], cur, v)
+				aggs[name] = foldAggregate(env.aggKinds[name], cur, v)
 			} else {
 				aggs[name] = v
 			}
@@ -527,41 +561,25 @@ func mergeAggregates(parts []map[string]float64, kinds map[string]AggregatorKind
 	return out
 }
 
-// combineMessages merges messages per destination with the program's
-// combiner (Pregel message combining).
-func combineMessages(msgs []Message, combine Combiner) []Message {
-	byDst := make(map[int64]int, len(msgs))
-	out := make([]Message, 0, len(msgs))
-	for _, m := range msgs {
-		if i, ok := byDst[m.Dst]; ok {
-			if merged, mok := combine(m.Dst, out[i].Value, m.Value); mok {
-				out[i].Value = merged
-				out[i].Src = -1 // combined messages lose their single source
-				continue
-			}
-		}
-		byDst[m.Dst] = len(out)
-		out = append(out, m)
-	}
-	return out
-}
-
-// writeVertices applies the superstep's vertex updates using the
-// Update-vs-Replace policy: below the threshold fraction of changed
-// tuples the table is updated in place; above it a fresh column set is
-// built (the "left join with the new values" of §2.3) and swapped in.
+// writeVertices applies the superstep's vertex updates (one slice per
+// worker) using the Update-vs-Replace policy: below the threshold
+// fraction of changed tuples the table is updated in place; above it a
+// fresh column set is built (the "left join with the new values" of
+// §2.3) and swapped in.
 func (c *Coordinator) writeVertices(vt *storage.Table, rowOf map[int64]int,
-	updates []vertexUpdate, threshold float64) (changedCount int, usedReplace bool, err error) {
+	updates [][]vertexUpdate, threshold float64) (changedCount int, usedReplace bool, err error) {
 
 	// Direct table mutation: hold the engine's exclusive latch so no
 	// concurrent SQL reader observes a half-applied superstep.
 	c.Graph.DB.LockExclusive()
 	defer c.Graph.DB.UnlockExclusive()
 
-	changed := updates[:0:0]
-	for _, u := range updates {
-		if u.changed {
-			changed = append(changed, u)
+	var changed []vertexUpdate
+	for _, us := range updates {
+		for _, u := range us {
+			if u.changed {
+				changed = append(changed, u)
+			}
 		}
 	}
 	if len(changed) == 0 {
@@ -593,65 +611,63 @@ func (c *Coordinator) writeVertices(vt *storage.Table, rowOf map[int64]int,
 	}
 
 	// Replace: rebuild the vertex table by "left joining" the old rows
-	// with the new values, preserving row order.
+	// with the new values, preserving row order. The columns are built
+	// by type: the ids are copied, and an updated row's value is never
+	// NULL.
 	byID := make(map[int64]*vertexUpdate, len(changed))
 	for i := range changed {
 		byID[changed[i].id] = &changed[i]
 	}
 	old := vt.Data()
-	ids := old.Cols[0].(*storage.Int64Column).Int64s()
-	newBatch := storage.NewBatch(VertexSchema())
+	ids := slices.Clone(old.Cols[0].(*storage.Int64Column).Int64s())
+	oldVals := old.Cols[1].(*storage.StringColumn)
+	vals := slices.Clone(oldVals.Strings())
+	halts := slices.Clone(old.Cols[2].(*storage.BoolColumn).Bools())
+	nulls := storage.NullsOf(oldVals).Clone()
 	for i, id := range ids {
 		if u, ok := byID[id]; ok {
-			if err := newBatch.AppendRow(storage.Int64(id), storage.Str(u.value), storage.Bool(u.halted)); err != nil {
-				return 0, false, err
-			}
-		} else {
-			if err := newBatch.AppendRow(old.Row(i)...); err != nil {
-				return 0, false, err
-			}
+			vals[i] = u.value
+			halts[i] = u.halted
+			nulls.Clear(i)
 		}
 	}
+	valCol := storage.NewStringColumn(vals)
+	storage.SetNulls(valCol, nulls)
+	newBatch := &storage.Batch{Schema: VertexSchema(), Cols: []storage.Column{
+		storage.NewInt64Column(ids), valCol, storage.NewBoolColumn(halts),
+	}}
 	if err := vt.Replace(newBatch); err != nil {
 		return 0, false, err
 	}
 	return len(changed), true, nil
 }
 
-// sortMessages orders messages by (dst, src, value) — the canonical
-// order used both for the message table and for the pre-combine sort
-// that keeps float message combining deterministic.
-func sortMessages(msgs []Message) {
-	sort.Slice(msgs, func(i, j int) bool {
-		if msgs[i].Dst != msgs[j].Dst {
-			return msgs[i].Dst < msgs[j].Dst
-		}
-		if msgs[i].Src != msgs[j].Src {
-			return msgs[i].Src < msgs[j].Src
-		}
-		return msgs[i].Value < msgs[j].Value
-	})
-}
-
 // writeMessages replaces the message table contents with the new
-// superstep's messages (sorted for determinism). Sorting and batch
-// assembly happen before the exclusive latch is taken, so concurrent
-// readers stall only for the table swap itself.
-func (c *Coordinator) writeMessages(msgs []Message) error {
+// superstep's messages: the shuffle's buckets, already in canonical
+// order, holding n messages in all. The columns are built before the
+// exclusive latch is taken, so concurrent readers stall only for the
+// table swap itself.
+func (c *Coordinator) writeMessages(buckets [][]Message, n int) error {
 	mt, err := c.Graph.DB.Catalog().Get(c.Graph.MessageTable())
 	if err != nil {
 		return err
 	}
-	sortMessages(msgs)
-	b := storage.NewBatch(MessageSchema())
-	for _, m := range msgs {
-		if err := b.AppendRow(storage.Int64(m.Src), storage.Int64(m.Dst), storage.Str(m.Value)); err != nil {
-			return err
+	srcs := make([]int64, 0, n)
+	dsts := make([]int64, 0, n)
+	vals := make([]string, 0, n)
+	for _, b := range buckets {
+		for _, m := range b {
+			srcs = append(srcs, m.Src)
+			dsts = append(dsts, m.Dst)
+			vals = append(vals, m.Value)
 		}
 	}
+	batch := &storage.Batch{Schema: MessageSchema(), Cols: []storage.Column{
+		storage.NewInt64Column(srcs), storage.NewInt64Column(dsts), storage.NewStringColumn(vals),
+	}}
 	c.Graph.DB.LockExclusive()
 	defer c.Graph.DB.UnlockExclusive()
-	return mt.Replace(b)
+	return mt.Replace(batch)
 }
 
 // Run is the package-level convenience: build a coordinator and run.

@@ -152,6 +152,44 @@ func TestUpdateVsReplacePathsAgree(t *testing.T) {
 	}
 }
 
+// TestReplaceKeepsNullValues checks that the Replace write-back carries
+// a NULL vertex value over for a vertex the superstep did not change
+// (vertex 100 starts halted, so computing it in superstep 0 changes
+// nothing), and that a changed vertex whose value was NULL gets its new
+// value (vertex 5).
+func TestReplaceKeepsNullValues(t *testing.T) {
+	g := chainGraph(t, 6)
+	if err := g.AddVertex(100, ""); err != nil {
+		t.Fatal(err)
+	}
+	for _, stmt := range []string{
+		"UPDATE chain_vertex SET value = NULL, halted = TRUE WHERE id = 100",
+		"UPDATE chain_vertex SET value = NULL WHERE id = 5",
+	} {
+		if _, err := g.DB.Exec(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats, err := Run(context.Background(), g, propagate{}, Options{Workers: 2, Partitions: 4, UpdateThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Steps[0].UsedReplace {
+		t.Fatal("superstep 0 did not take the Replace path")
+	}
+	n, err := g.DB.QueryScalar("SELECT COUNT(*) FROM chain_vertex WHERE value IS NULL")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.I != 1 {
+		t.Errorf("%d NULL vertex values after Replace, want 1", n.I)
+	}
+	vals, _ := g.VertexValues()
+	if vals[5] != "5" {
+		t.Errorf("vertex 5 = %q, want %q", vals[5], "5")
+	}
+}
+
 func TestSingleWorkerSinglePartition(t *testing.T) {
 	g := chainGraph(t, 4)
 	_, err := Run(context.Background(), g, propagate{}, Options{Workers: 1, Partitions: 1})
@@ -317,12 +355,16 @@ func TestSetVertexValues(t *testing.T) {
 }
 
 func TestCombineMessages(t *testing.T) {
-	sum := func(_ int64, a, b string) (string, bool) {
-		x, _ := strconv.Atoi(a)
-		y, _ := strconv.Atoi(b)
-		return strconv.Itoa(x + y), true
+	sum := func(_ int64, values []string) string {
+		total := 0
+		for _, v := range values {
+			x, _ := strconv.Atoi(v)
+			total += x
+		}
+		return strconv.Itoa(total)
 	}
 	msgs := []Message{{Dst: 1, Value: "1"}, {Dst: 2, Value: "5"}, {Dst: 1, Value: "2"}, {Dst: 1, Value: "3"}}
+	sortMessages(msgs)
 	out := combineMessages(msgs, sum)
 	if len(out) != 2 {
 		t.Fatalf("combined to %d messages, want 2", len(out))

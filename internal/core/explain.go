@@ -62,7 +62,7 @@ func ExplainRun(g *Graph, program string, opts Options) ([]string, error) {
 	}
 	lines = append(lines, input)
 
-	cache := "  input cache: edge side built once, reused every superstep; quiescent partitions skipped"
+	cache := "  input cache: edge side built once as per-partition adjacency, reused every superstep; quiescent partitions skipped"
 	if o.DisableInputCache {
 		cache = "  input cache: disabled — full union re-assembled every superstep, no partition skipping"
 	}
@@ -84,11 +84,18 @@ func ExplainRun(g *Graph, program string, opts Options) ([]string, error) {
 			int(o.UpdateThreshold*100)))
 	}
 
+	assemble := "    1. assemble partition inputs (sorted vertex/message rows + cached adjacency)"
+	switch {
+	case o.UseJoinInput:
+		assemble = "    1. assemble partition inputs (3-way join re-run, partitioned and sorted)"
+	case o.DisableInputCache:
+		assemble = "    1. assemble partition inputs (full union re-read, partitioned and sorted)"
+	}
 	lines = append(lines,
 		fmt.Sprintf("  schedule: up to %d supersteps; each superstep:", o.MaxSupersteps),
-		"    1. assemble partition inputs (cached edge side + fresh vertex/message rows)",
-		fmt.Sprintf("    2. dispatch active partitions to %d workers; Compute runs per vertex", o.Workers),
-		"    3. combine and route emitted messages into the message table",
+		assemble,
+		fmt.Sprintf("    2. dispatch active partitions to %d workers; Compute runs per vertex and routes messages into %d destination ranges", o.Workers, o.Partitions),
+		"    3. sort and combine each destination range in parallel; the ranges in order form the message table",
 		"    4. write back changed vertex values (update vs replace)",
 		"  halt: every vertex halted and no messages pending, or the superstep bound",
 	)
@@ -122,7 +129,7 @@ func ExplainSQL(g *Graph, program string, iterations int) ([]string, error) {
 
 // ExplainStats folds a completed run's statistics into EXPLAIN ANALYZE
 // output: a run summary, the cache economics, and one line per
-// superstep.
+// superstep with its phase split.
 func ExplainStats(rs *RunStats) []string {
 	if rs == nil {
 		return nil
@@ -144,9 +151,11 @@ func ExplainStats(rs *RunStats) []string {
 			wb = "replace"
 		}
 		lines = append(lines, fmt.Sprintf(
-			"  superstep %2d: computed=%d messages=%d updated=%d input_rows=%d cache=%s write=%s skipped=%d/%d time=%s",
+			"  superstep %2d: computed=%d messages=%d updated=%d input_rows=%d cache=%s write=%s skipped=%d/%d time=%s (assemble=%s compute=%s combine=%s write_back=%s)",
 			st.Superstep, st.Computed, st.MessagesOut, st.Updated, st.InputRows,
-			src, wb, st.SkippedParts, st.SkippedVerts, st.Duration.Round(time.Microsecond)))
+			src, wb, st.SkippedParts, st.SkippedVerts, st.Duration.Round(time.Microsecond),
+			st.Assemble.Round(time.Microsecond), st.Compute.Round(time.Microsecond),
+			st.Combine.Round(time.Microsecond), st.WriteBack.Round(time.Microsecond)))
 	}
 	return lines
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/sched"
@@ -51,12 +53,11 @@ UNION ALL SELECT dst, 2, COALESCE(src, -1), 0.0, value, 0 FROM %s`,
 		g.VertexTable(), g.EdgeTable(), g.MessageTable())
 }
 
-// edgeInputSQL renders just the edge branch of the union in the common
-// schema. The edge table is immutable for the duration of a run, so
-// the coordinator assembles this side once and caches it.
+// edgeInputSQL selects the edge table for the cached adjacency. The
+// edge table is immutable for the duration of a run, so the
+// coordinator reads and parses this side once.
 func edgeInputSQL(g *Graph) string {
-	return fmt.Sprintf(`SELECT src AS id, 1 AS kind, dst AS i1, weight AS f1, etype AS s1, created AS i2 FROM %s`,
-		g.EdgeTable())
+	return fmt.Sprintf(`SELECT src, dst, weight, etype, created FROM %s`, g.EdgeTable())
 }
 
 // vertexMessageInputSQL renders the two mutable branches of the union
@@ -68,20 +69,101 @@ UNION ALL SELECT dst, 2, COALESCE(src, -1), 0.0, value, 0 FROM %s`,
 		g.VertexTable(), g.MessageTable())
 }
 
-// inputCache holds the immutable edge side of the union input,
-// hash-partitioned on src and sorted on (id, kind), built once per run
-// in Coordinator.Run. parts is dense — one slot per partition, nil for
-// partitions with no edges — so a partition's cached edge run lines up
-// with the same partition of the per-superstep vertex+message run.
+// partInput is one partition's superstep input: its union (or join)
+// rows sorted on the vertex id, and on the cached path the partition's
+// adjacency, which then supplies the edges the rows leave out.
+type partInput struct {
+	rows *storage.Batch
+	adj  *adjacency // nil on the uncached union and join paths
+}
+
+// inputRows is the number of input rows the partition stands for: its
+// rows plus its cached edges, as many as the literal union would hold.
+func (in partInput) inputRows() int {
+	n := in.rows.Len()
+	if in.adj != nil {
+		n += len(in.adj.edges)
+	}
+	return n
+}
+
+// units reassembles one workUnit per vertex of the partition, each with
+// its edges in compareEdges order, and counts dangling messages.
+func (in partInput) units(join bool) (units []workUnit, dangling int) {
+	if join {
+		units, dangling = parseJoinPartition(in.rows)
+	} else {
+		units, dangling = parseUnionPartition(in.rows)
+	}
+	if in.adj == nil {
+		for i := range units {
+			sortEdges(units[i].edges)
+		}
+		return units, dangling
+	}
+	// Units and adjacency sources are both ascending: walk them
+	// together and hand each unit a capped sub-slice of the cached
+	// edges, so an append by the program cannot reach a neighbour's.
+	a, k := in.adj, 0
+	for i := range units {
+		u := &units[i]
+		for k < len(a.srcs) && a.srcs[k] < u.id {
+			k++
+		}
+		if k < len(a.srcs) && a.srcs[k] == u.id {
+			lo, hi := a.offs[k], a.offs[k+1]
+			u.edges = a.edges[lo:hi:hi]
+			k++
+		}
+	}
+	return units, dangling
+}
+
+// adjacency is one partition's out-edges, parsed once per run. srcs
+// holds the partition's distinct edge sources in ascending order; the
+// edges of srcs[i] are edges[offs[i]:offs[i+1]], in compareEdges order.
+type adjacency struct {
+	srcs  []int64
+	offs  []int
+	edges []Edge
+}
+
+// newAdjacency orders edges by source and then by compareEdges, and
+// indexes the runs of each source.
+func newAdjacency(edges []Edge) *adjacency {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
+		}
+		return compareEdges(a, b)
+	})
+	a := &adjacency{edges: edges}
+	for i, e := range edges {
+		if i == 0 || e.Src != edges[i-1].Src {
+			a.srcs = append(a.srcs, e.Src)
+			a.offs = append(a.offs, i)
+		}
+	}
+	a.offs = append(a.offs, len(edges))
+	return a
+}
+
+// inputCache holds the immutable edge side of the union input as one
+// adjacency per hash partition of src, built once per run in
+// Coordinator.Run. adj is dense — one slot per partition, nil for
+// partitions with no edges — and uses the same partitioning as the
+// per-superstep vertex+message rows, so slot p holds the edges of the
+// vertices in partition p.
 type inputCache struct {
-	parts       []*storage.Batch
+	adj         []*adjacency
 	partitions  int
 	edgeVersion uint64 // edge-table version the cache was built against
 }
 
-// buildEdgeCache assembles the edge-side partitions. The version is
-// read before the scan, so a concurrent mutation at worst makes the
-// cache look stale and triggers a rebuild — never a silently stale hit.
+// buildEdgeCache reads the edge table and builds each partition's
+// adjacency. The version is read before the scan, so a concurrent
+// mutation at worst makes the cache look stale and triggers a rebuild
+// — never a silently stale hit.
 func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
 	version, err := g.EdgeVersion()
 	if err != nil {
@@ -95,10 +177,14 @@ func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: edge input: %w", err)
 	}
-	ids := data.Cols[0].(*storage.Int64Column).Int64s()
-	pidx := storage.PartitionInt64(ids, partitions)
+	srcs := data.Cols[0].(*storage.Int64Column).Int64s()
+	dsts := data.Cols[1].(*storage.Int64Column).Int64s()
+	weights := data.Cols[2].(*storage.Float64Column).Float64s()
+	types := data.Cols[3].(*storage.StringColumn).Strings()
+	created := data.Cols[4].(*storage.Int64Column).Int64s()
+	pidx := storage.PartitionInt64(srcs, partitions)
 	cache := &inputCache{
-		parts:       make([]*storage.Batch, partitions),
+		adj:         make([]*adjacency, partitions),
 		partitions:  partitions,
 		edgeVersion: version,
 	}
@@ -110,7 +196,11 @@ func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
 	}
 	sched.ForEach(g.DB.WorkerBudget(), len(nonEmpty), workers, func(i int) {
 		p := nonEmpty[i]
-		cache.parts[p] = storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
+		edges := make([]Edge, len(pidx[p]))
+		for j, r := range pidx[p] {
+			edges[j] = Edge{Src: srcs[r], Dst: dsts[r], Weight: weights[r], Type: types[r], Created: created[r]}
+		}
+		cache.adj[p] = newAdjacency(edges)
 	})
 	return cache, nil
 }
@@ -118,17 +208,17 @@ func buildEdgeCache(g *Graph, partitions, workers int) (*inputCache, error) {
 // cachedInputResult is what buildCachedUnionInput hands the coordinator
 // for one superstep.
 type cachedInputResult struct {
-	parts        []*storage.Batch // dispatched partitions, merged and sorted
-	skippedParts int              // quiescent partitions not dispatched
-	skippedVerts int              // halted vertices inside skipped partitions
+	parts        []partInput // dispatched partitions
+	skippedParts int         // quiescent partitions not dispatched
+	skippedVerts int         // halted vertices inside skipped partitions
 }
 
 // buildCachedUnionInput assembles one superstep's input on top of the
 // edge cache: only the vertex and message rows are scanned, partitioned
-// and sorted, then each small sorted run is merged into its partition's
-// cached edge run. Partitions with no incoming messages and no
-// non-halted vertices are skipped entirely — Pregel semantics guarantee
-// none of their vertices would compute (active-partition skipping).
+// and sorted; each partition's edges come from its cached adjacency.
+// Partitions with no incoming messages and no non-halted vertices are
+// skipped entirely — Pregel semantics guarantee none of their vertices
+// would compute (active-partition skipping).
 func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cachedInputResult, error) {
 	rows, err := g.DB.Query(vertexMessageInputSQL(g))
 	if err != nil {
@@ -166,17 +256,19 @@ func buildCachedUnionInput(g *Graph, cache *inputCache, step, workers int) (*cac
 			active = append(active, p)
 			continue
 		}
-		if len(idx) > 0 || cache.parts[p] != nil {
+		if len(idx) > 0 || cache.adj[p] != nil {
 			res.skippedParts++
 			res.skippedVerts += verts
 		}
 	}
 
-	res.parts = make([]*storage.Batch, len(active))
+	res.parts = make([]partInput, len(active))
 	sched.ForEach(g.DB.WorkerBudget(), len(active), workers, func(i int) {
 		p := active[i]
-		vm := storage.SortBatch(data.Gather(pidx[p]), unionSortKeys)
-		res.parts[i] = storage.MergeSortedBatches(vm, cache.parts[p], unionSortKeys)
+		res.parts[i] = partInput{
+			rows: storage.SortBatch(data.Gather(pidx[p]), unionSortKeys),
+			adj:  cache.adj[p],
+		}
 	})
 	return res, nil
 }
@@ -192,7 +284,7 @@ func buildUnionInput(g *Graph, partitions, workers int) ([]*storage.Batch, error
 	if err != nil {
 		return nil, fmt.Errorf("core: union input: %w", err)
 	}
-	return partitionAndSort(data, 0, partitions, workers, g.DB.WorkerBudget(), []storage.SortKey{{Col: 0}, {Col: 1}}), nil
+	return partitionAndSort(data, 0, partitions, workers, g.DB.WorkerBudget(), unionSortKeys), nil
 }
 
 // buildJoinInput assembles the superstep input via the 3-way-join path.
@@ -262,7 +354,9 @@ func partitionAndSort(data *storage.Batch, idCol, partitions, workers int, budge
 
 // parseUnionPartition walks a sorted union partition and reassembles
 // one workUnit per vertex that appears in it. Tuples whose vertex row
-// is missing (dangling messages) are counted, not processed.
+// is missing (dangling messages) are counted, not processed. Each
+// unit's messages and edges are capped sub-slices of one per-partition
+// slice, in row order.
 func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 	n := b.Len()
 	ids := b.Cols[0].(*storage.Int64Column).Int64s()
@@ -272,6 +366,20 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 	s1 := b.Cols[4].(*storage.StringColumn).Strings()
 	i2 := b.Cols[5].(*storage.Int64Column).Int64s()
 
+	var nVerts, nEdges, nMsgs int
+	for _, k := range kinds {
+		switch k {
+		case kindVertex:
+			nVerts++
+		case kindEdge:
+			nEdges++
+		case kindMessage:
+			nMsgs++
+		}
+	}
+	units = make([]workUnit, 0, nVerts)
+	edges := make([]Edge, 0, nEdges)
+	msgs := make([]Message, 0, nMsgs)
 	for i := 0; i < n; {
 		j := i
 		id := ids[i]
@@ -279,6 +387,7 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 			j++
 		}
 		u := workUnit{id: id}
+		e0, m0 := len(edges), len(msgs)
 		sawVertex := false
 		for k := i; k < j; k++ {
 			switch kinds[k] {
@@ -287,17 +396,20 @@ func parseUnionPartition(b *storage.Batch) (units []workUnit, dangling int) {
 				u.halted = i1[k] != 0
 				u.value = s1[k]
 			case kindEdge:
-				u.edges = append(u.edges, Edge{
+				edges = append(edges, Edge{
 					Src: id, Dst: i1[k], Weight: f1[k], Type: s1[k], Created: i2[k],
 				})
 			case kindMessage:
-				u.msgs = append(u.msgs, Message{Src: i1[k], Dst: id, Value: s1[k]})
+				msgs = append(msgs, Message{Src: i1[k], Dst: id, Value: s1[k]})
 			}
 		}
 		if sawVertex {
+			u.edges = edges[e0:len(edges):len(edges)]
+			u.msgs = msgs[m0:len(msgs):len(msgs)]
 			units = append(units, u)
 		} else {
-			dangling += len(u.msgs)
+			dangling += len(msgs) - m0
+			edges, msgs = edges[:e0], msgs[:m0]
 		}
 		i = j
 	}

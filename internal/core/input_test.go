@@ -32,14 +32,17 @@ func inputFixture(t *testing.T) *Graph {
 
 func collectUnits(t *testing.T, parts []*storage.Batch, join bool) map[int64]workUnit {
 	t.Helper()
+	return collectPartUnits(t, wrapParts(parts), join)
+}
+
+// collectPartUnits reassembles the units of every partition input the
+// way a worker does, reading edges through the adjacency when the
+// input carries one.
+func collectPartUnits(t *testing.T, parts []partInput, join bool) map[int64]workUnit {
+	t.Helper()
 	units := map[int64]workUnit{}
 	for _, p := range parts {
-		var us []workUnit
-		if join {
-			us, _ = parseJoinPartition(p)
-		} else {
-			us, _ = parseUnionPartition(p)
-		}
+		us, _ := p.units(join)
 		for _, u := range us {
 			if _, dup := units[u.id]; dup {
 				t.Fatalf("vertex %d appears in two partitions", u.id)

@@ -10,8 +10,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is one out-edge as seen by a vertex program, including the
@@ -44,10 +45,13 @@ type VertexProgram interface {
 	Compute(ctx *VertexContext, msgs []Message) error
 }
 
-// Combiner merges two messages headed to the same destination vertex
-// (Pregel's message combiner, e.g. sum for PageRank, min for SSSP).
-// Returning ok=false keeps the messages separate.
-type Combiner func(dst int64, a, b string) (merged string, ok bool)
+// Combiner merges the messages headed to one destination vertex into a
+// single message (Pregel's message combiner, e.g. sum for PageRank, min
+// for SSSP). The coordinator calls it once per destination that has at
+// least two messages, with their values in (src, value) order, and
+// delivers the result as one message with source -1. values is only
+// valid for the duration of the call.
+type Combiner func(dst int64, values []string) string
 
 // AggregatorKind enumerates the global aggregators supported.
 type AggregatorKind uint8
@@ -78,7 +82,9 @@ type HasCombiner interface {
 
 // VertexContext exposes the worker API from the paper
 // (getVertexValue, getMessages, getOutEdges, modifyVertexValue,
-// sendMessage, voteToHalt) to the vertex program.
+// sendMessage, voteToHalt) to the vertex program. A context is valid
+// only during the Compute call it is passed to: workers reuse it for
+// the next vertex.
 type VertexContext struct {
 	id        int64
 	superstep int
@@ -118,7 +124,10 @@ func (c *VertexContext) ModifyVertexValue(v string) {
 	}
 }
 
-// GetOutEdges returns the vertex's out-edges.
+// GetOutEdges returns the vertex's out-edges, ordered by (dst, weight,
+// type, created). The slice is shared with the coordinator's cached
+// adjacency and is read-only: a program must neither modify nor append
+// to it.
 func (c *VertexContext) GetOutEdges() []Edge { return c.outEdges }
 
 // OutDegree returns the number of out-edges.
@@ -174,7 +183,38 @@ func (c *VertexContext) AggregatedValue(name string) (float64, bool) {
 	return v, ok
 }
 
-// sortEdges orders edges by destination for deterministic iteration.
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Dst < es[j].Dst })
+// reset points the context at the next vertex of a worker's
+// partition. The context, its outbox and its aggregator maps are
+// reused from vertex to vertex.
+func (c *VertexContext) reset(u *workUnit, step int) {
+	c.id = u.id
+	c.superstep = step
+	c.value = u.value
+	c.halted = u.halted
+	c.outEdges = u.edges
+	c.valueChanged = false
+	c.votedHalt = false
+	c.outbox = c.outbox[:0]
+	clear(c.aggCur)
+	clear(c.aggSeen)
 }
+
+// compareEdges is the total order on one vertex's out-edges: by
+// destination, then weight, type and creation time. Every input path
+// hands edges to GetOutEdges in this order, so the order depends only
+// on the edge set.
+func compareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Weight, b.Weight); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Type, b.Type); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Created, b.Created)
+}
+
+// sortEdges orders one vertex's edges by compareEdges.
+func sortEdges(es []Edge) { slices.SortFunc(es, compareEdges) }

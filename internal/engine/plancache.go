@@ -34,12 +34,24 @@ type planCache struct {
 	max   int
 	lru   *list.List // of *cacheEntry, front = most recently used
 	items map[string]*list.Element
+	// inflight holds the parse of each key that is running now; a
+	// caller that misses the cache while one runs waits for it instead
+	// of parsing the same text again.
+	inflight map[string]*parseCall
 
 	parses   atomic.Uint64 // statements actually parsed
 	plans    atomic.Uint64 // SELECT plans actually built
 	hits     atomic.Uint64 // executions served by a cached plan
 	misses   atomic.Uint64 // plan lookups that found none (or a stale one)
 	bypasses atomic.Uint64 // cached plan busy; execution planned fresh
+}
+
+// parseCall is one in-flight parse; done closes when its result is set.
+type parseCall struct {
+	done      chan struct{}
+	st        sql.Statement
+	numParams int
+	err       error
 }
 
 type cacheEntry struct {
@@ -56,7 +68,8 @@ type cacheEntry struct {
 }
 
 func newPlanCache(max int) *planCache {
-	return &planCache{max: max, lru: list.New(), items: make(map[string]*list.Element)}
+	return &planCache{max: max, lru: list.New(), items: make(map[string]*list.Element),
+		inflight: make(map[string]*parseCall)}
 }
 
 // cacheKey derives the cache key for one execution: the normalized
@@ -171,7 +184,10 @@ func normalizeStatement(text string) string {
 }
 
 // parse returns the cached AST for key, parsing and caching text on a
-// miss. The AST is read-only and shared freely across executions.
+// miss. The AST is read-only and shared freely across executions. The
+// parse is single-flight per key: concurrent first executions of the
+// same text wait for one parse (and share its error) rather than each
+// parsing it.
 func (pc *planCache) parse(text, key string) (sql.Statement, int, error) {
 	pc.mu.Lock()
 	if el, ok := pc.items[key]; ok {
@@ -181,25 +197,30 @@ func (pc *planCache) parse(text, key string) (sql.Statement, int, error) {
 		pc.mu.Unlock()
 		return st, n, nil
 	}
+	if call, ok := pc.inflight[key]; ok {
+		pc.mu.Unlock()
+		<-call.done
+		return call.st, call.numParams, call.err
+	}
+	call := &parseCall{done: make(chan struct{})}
+	pc.inflight[key] = call
 	pc.mu.Unlock()
 
-	st, err := sql.Parse(text)
-	if err != nil {
-		return nil, 0, err
+	call.st, call.err = sql.Parse(text)
+	if call.err == nil {
+		pc.parses.Add(1)
+		call.numParams = sql.NumParams(call.st)
 	}
-	pc.parses.Add(1)
-	n := sql.NumParams(st)
 
 	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if el, ok := pc.items[key]; ok { // a concurrent execution parsed first
-		e := el.Value.(*cacheEntry)
-		pc.lru.MoveToFront(el)
-		return e.st, e.numParams, nil
+	delete(pc.inflight, key)
+	if call.err == nil {
+		pc.items[key] = pc.lru.PushFront(&cacheEntry{key: key, st: call.st, numParams: call.numParams})
+		pc.evictLocked()
 	}
-	pc.items[key] = pc.lru.PushFront(&cacheEntry{key: key, st: st, numParams: n})
-	pc.evictLocked()
-	return st, n, nil
+	pc.mu.Unlock()
+	close(call.done)
+	return call.st, call.numParams, call.err
 }
 
 // checkoutPlan claims the cached prepared plan under key for exclusive

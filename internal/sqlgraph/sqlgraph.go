@@ -39,7 +39,12 @@ func cleanup(ctx context.Context, db *engine.DB, names ...string) {
 // PageRank computes ranks with pure SQL: a degree table, then per
 // iteration one join-aggregate that gathers rank/outdeg contributions
 // along edges, left-joined back to the vertex set so rankless vertices
-// keep the teleport mass. Conventions match algorithms.PageRank exactly
+// keep the teleport mass. Each source's contribution is divided out
+// once, on the vertex-sized join of ranks with degrees, and the edge
+// table is read for its two endpoint columns only, so the only
+// edge-sized join is the one that routes contributions to their
+// destinations. The per-edge values and their summation order are the
+// same as dividing on every edge, so the ranks are too. Conventions match algorithms.PageRank exactly
 // (damping 0.85 unless overridden, no dangling redistribution).
 // Cancelling ctx aborts between statements and inside each statement's
 // executor (per result batch).
@@ -82,10 +87,10 @@ func PageRank(ctx context.Context, g *core.Graph, iterations int, damping float6
 		step := fmt.Sprintf(`INSERT INTO %[1]s
 			SELECT v.id, %[4]g / %[5]d + %[6]g * COALESCE(s.acc, 0.0)
 			FROM %[2]s AS v LEFT JOIN (
-				SELECT e.dst AS id, SUM(p.rank / d.deg) AS acc
-				FROM %[3]s AS e
-				JOIN %[7]s AS p ON e.src = p.id
-				JOIN %[8]s AS d ON e.src = d.id
+				SELECT e.dst AS id, SUM(c.contrib) AS acc
+				FROM (SELECT src, dst FROM %[3]s) AS e
+				JOIN (SELECT p.id AS id, p.rank / d.deg AS contrib
+					FROM %[7]s AS p JOIN %[8]s AS d ON p.id = d.id) AS c ON e.src = c.id
 				GROUP BY e.dst
 			) AS s ON v.id = s.id`,
 			next, g.VertexTable(), g.EdgeTable(), 1-damping, n, damping, cur, deg)

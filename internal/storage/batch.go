@@ -1,8 +1,9 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BatchSize is the default number of rows in a record batch produced by
@@ -81,27 +82,84 @@ type SortKey struct {
 }
 
 // SortBatch returns a new batch with rows reordered by the sort keys
-// (stable). NULLs sort first, matching Compare.
+// (stable). NULLs sort first, matching Compare. Each key compares the
+// column's typed values directly; ties on every key fall back to the
+// input row index, which makes the sort stable.
 func SortBatch(b *Batch, keys []SortKey) *Batch {
 	n := b.Len()
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(x, y int) bool {
-		for _, k := range keys {
-			c := Compare(b.Cols[k.Col].Value(idx[x]), b.Cols[k.Col].Value(idx[y]))
-			if c == 0 {
-				continue
+	cmps := make([]func(x, y int) int, len(keys))
+	for i, k := range keys {
+		cmps[i] = columnComparator(b.Cols[k.Col], k.Desc)
+	}
+	slices.SortFunc(idx, func(x, y int) int {
+		for _, c := range cmps {
+			if r := c(x, y); r != 0 {
+				return r
 			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
 		}
-		return false
+		return cmp.Compare(x, y)
 	})
 	return b.Gather(idx)
+}
+
+// columnComparator returns a three-way comparison of rows x and y of c
+// that agrees with Compare on the boxed values: NULLs first, NaN below
+// every other float, -0 equal to +0, false before true.
+func columnComparator(c Column, desc bool) func(x, y int) int {
+	var f func(x, y int) int
+	switch col := c.(type) {
+	case *Int64Column:
+		f = orderedComparator(col.vals, col.nulls)
+	case *Float64Column:
+		f = orderedComparator(col.vals, col.nulls)
+	case *StringColumn:
+		f = orderedComparator(col.vals, col.nulls)
+	case *BoolColumn:
+		f = nullsFirst(col.nulls, func(x, y int) int {
+			return cmp.Compare(boolRank(col.vals[x]), boolRank(col.vals[y]))
+		})
+	default:
+		f = func(x, y int) int { return Compare(c.Value(x), c.Value(y)) }
+	}
+	if desc {
+		return func(x, y int) int { return f(y, x) }
+	}
+	return f
+}
+
+func orderedComparator[T cmp.Ordered](vals []T, nulls *Bitmap) func(x, y int) int {
+	return nullsFirst(nulls, func(x, y int) int { return cmp.Compare(vals[x], vals[y]) })
+}
+
+// nullsFirst wraps a comparison of non-NULL rows so that NULL rows sort
+// before every other row. A column without NULL rows skips the check.
+func nullsFirst(nulls *Bitmap, f func(x, y int) int) func(x, y int) int {
+	if !nulls.Any() {
+		return f
+	}
+	return func(x, y int) int {
+		nx, ny := nulls.Get(x), nulls.Get(y)
+		switch {
+		case nx && ny:
+			return 0
+		case nx:
+			return -1
+		case ny:
+			return 1
+		}
+		return f(x, y)
+	}
+}
+
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Concat appends the rows of src to dst (schemas must be compatible).
